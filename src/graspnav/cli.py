@@ -57,6 +57,16 @@ exit codes:
 """
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; our contract reserves 2."""
 
@@ -82,8 +92,14 @@ def _resolve_config(path: str | None) -> RunConfig:
     return load_run_config(path) if path else RunConfig()
 
 
+def _json_text(doc: dict) -> str:
+    """Sorted, indented JSON; NaN and infinity raise ValueError, since
+    JSON has no such values."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json_text(report)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -249,8 +265,7 @@ def cmd_simulate(args) -> int:
                    "seed": args.seed, "spec": spec.to_dict(),
                    "config": config.to_dict(), **summary}
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary_doc, sort_keys=True, indent=2)
-                            + "\n", encoding="utf-8")
+    summary_path.write_text(_json_text(summary_doc), encoding="utf-8")
     print(f"{args.task} batch: {summary['successes']}/{summary['episodes']}"
           f" succeeded (rate {summary['success_rate']:.3f})")
     print(f"wrote {episodes_path} and {summary_path}")
@@ -314,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     s.add_argument("--task", required=True, choices=("grasp", "search"),
                    help="which episode type to run")
-    s.add_argument("--episodes", type=int, default=200,
+    s.add_argument("--episodes", type=_positive_int, default=200,
                    help="number of episodes (default 200)")
     s.add_argument("--spec", help="scene spec JSON (built-in default per task)")
     s.add_argument("--config", help="run config JSON")

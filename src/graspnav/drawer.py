@@ -507,11 +507,12 @@ def write_detection_frame(path: str | Path, frame: DetectionFrame,
     path = Path(path)
     if depth_file is None:
         depth_file = path.stem + ".depth.bin"
-    frame.depth.astype("<f4").tofile(path.parent / depth_file)
     doc = {
         "intrinsics": frame.intrinsics.to_dict(),
         "cam_pose": [float(x) for x in frame.cam_pose.matrix().reshape(-1)],
         "depth_file": depth_file,
         "detections": [d.to_dict() for d in frame.detections],
     }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    frame.depth.astype("<f4").tofile(path.parent / depth_file)
+    path.write_text(text)

@@ -21,6 +21,7 @@ bit-identical scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -42,6 +43,10 @@ class OptimizerWeights:
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
 

@@ -6,8 +6,8 @@ against a query embedding in the same space. Scenes are immutable after
 load; every accessor is read-only, so one scene can serve many threads.
 
 File formats:
-    * Cloud: ASCII PLY, vertex properties x y z (float, meters) plus
-      optional red green blue (uchar).
+    * Cloud: ASCII or binary-little-endian PLY, vertex properties x y z
+      (float or double, meters) plus optional red green blue (uchar).
     * Instances: JSON {"embedding_dim": D, "instances": [{"id", "label",
       "confidence", "point_indices": [...], "embedding": [D floats]|null}]}.
 """
@@ -33,6 +33,13 @@ EMBEDDING_NORM_TOL = 1e-6
 
 _FLOAT_TYPES = {"float", "float32", "float64", "double"}
 _UCHAR_TYPES = {"uchar", "uint8"}
+# PLY scalar types as little-endian numpy types, for binary payloads
+_BINARY_TYPES = {
+    "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
+    "short": "<i2", "int16": "<i2", "ushort": "<u2", "uint16": "<u2",
+    "int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4",
+    "float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -40,28 +47,56 @@ _UCHAR_TYPES = {"uchar", "uint8"}
 # ---------------------------------------------------------------------------
 
 def read_ply(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read an ASCII PLY cloud; returns (points, colors-or-None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "ply":
+    """Read an ASCII or binary-little-endian PLY cloud; returns (points, colors-or-None)."""
+    with open(path, "rb") as fh:
+        fmt, n_vertices, properties = _read_ply_header(path, fh)
+        names = [name for _, name in properties]
+        if fmt == "ascii":
+            data = _ascii_vertices(path, fh, n_vertices, len(names))
+            column = {name: data[:, i] for i, name in enumerate(names)}
+        else:
+            column = _binary_vertices(path, fh, n_vertices, properties)
+
+    points = np.stack([column[c] for c in ("x", "y", "z")], axis=1).astype(
+        np.float64, copy=False)
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        raise FileFormatError(
+            f"{path}: vertex {int(np.argmax(bad))} has a non-finite coordinate")
+    colors = None
+    if all(c in names for c in ("red", "green", "blue")):
+        colors = np.stack([column[c] for c in ("red", "green", "blue")],
+                          axis=1).astype(np.uint8)
+    return points, colors
+
+
+def _read_ply_header(path: str, fh) -> tuple[str, int, list[tuple[str, str]]]:
+    """Format, vertex count and vertex (type, name) properties; leaves
+    `fh` at the first byte after ``end_header``."""
+    if _header_line(path, fh) != "ply":
         raise FileFormatError(f"{path}: missing 'ply' magic line")
 
+    fmt = "ascii"
     n_vertices = None
     properties: list[tuple[str, str]] = []
-    data_start = None
     in_vertex_element = False
-    for i, raw in enumerate(lines[1:], start=1):
-        line = raw.strip()
+    while True:
+        line = _header_line(path, fh)
         if not line or line.startswith("comment"):
             continue
         if line.startswith("format"):
-            if line.split()[1] != "ascii":
-                raise FileFormatError(f"{path}: only ascii PLY is supported, got '{line}'")
+            fmt = line.split()[1]
+            if fmt not in ("ascii", "binary_little_endian"):
+                raise FileFormatError(
+                    f"{path}: only ascii and binary_little_endian PLY are "
+                    f"supported, got '{line}'")
         elif line.startswith("element"):
             parts = line.split()
             in_vertex_element = parts[1] == "vertex"
             if in_vertex_element:
                 n_vertices = int(parts[2])
+                if n_vertices < 0:
+                    raise FileFormatError(f"{path}: negative vertex count {n_vertices}")
             elif int(parts[2]) != 0:
                 raise FileFormatError(f"{path}: unsupported non-empty element '{parts[1]}'")
         elif line.startswith("property"):
@@ -71,12 +106,11 @@ def read_ply(path: str) -> tuple[np.ndarray, np.ndarray | None]:
                     raise FileFormatError(f"{path}: unsupported property line '{line}'")
                 properties.append((parts[1], parts[2]))
         elif line == "end_header":
-            data_start = i + 1
             break
         else:
             raise FileFormatError(f"{path}: unrecognized header line '{line}'")
-    if data_start is None or n_vertices is None:
-        raise FileFormatError(f"{path}: truncated PLY header")
+    if n_vertices is None:
+        raise FileFormatError(f"{path}: PLY header declares no vertex element")
 
     names = [name for _, name in properties]
     for coord in ("x", "y", "z"):
@@ -87,30 +121,58 @@ def read_ply(path: str) -> tuple[np.ndarray, np.ndarray | None]:
             raise FileFormatError(f"{path}: property '{name}' must be float, got '{ptype}'")
         if name in ("red", "green", "blue") and ptype not in _UCHAR_TYPES:
             raise FileFormatError(f"{path}: property '{name}' must be uchar, got '{ptype}'")
+    return fmt, n_vertices, properties
 
-    rows = lines[data_start:data_start + n_vertices]
+
+def _header_line(path: str, fh) -> str:
+    raw = fh.readline()
+    if not raw.endswith(b"\n"):
+        raise FileFormatError(f"{path}: truncated PLY header")
+    try:
+        return raw.decode("ascii").strip()
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{path}: non-ASCII byte in PLY header") from None
+
+
+def _ascii_vertices(path: str, fh, n_vertices: int, n_columns: int) -> np.ndarray:
+    """(n_vertices, n_columns) floats from the ASCII vertex rows left in `fh`."""
+    try:
+        rows = fh.read().decode("ascii").splitlines()[:n_vertices]
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{path}: non-ASCII byte in vertex data") from None
     if len(rows) < n_vertices:
         raise FileFormatError(
             f"{path}: header declares {n_vertices} vertices but only "
             f"{len(rows)} data rows are present")
     if n_vertices == 0:
-        data = np.empty((0, len(names)))
-    else:
-        try:
-            data = np.array([[float(tok) for tok in row.split()] for row in rows])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: non-numeric vertex row: {exc}") from exc
-        if data.shape[1] != len(names):
-            raise FileFormatError(
-                f"{path}: vertex rows have {data.shape[1]} columns, "
-                f"header declares {len(names)}")
+        return np.empty((0, n_columns))
+    try:
+        data = np.array([[float(tok) for tok in row.split()] for row in rows])
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: non-numeric vertex row: {exc}") from exc
+    if data.shape[1] != n_columns:
+        raise FileFormatError(
+            f"{path}: vertex rows have {data.shape[1]} columns, "
+            f"header declares {n_columns}")
+    return data
 
-    cols = {name: i for i, name in enumerate(names)}
-    points = data[:, [cols["x"], cols["y"], cols["z"]]].astype(np.float64)
-    colors = None
-    if all(c in cols for c in ("red", "green", "blue")):
-        colors = data[:, [cols["red"], cols["green"], cols["blue"]]].astype(np.uint8)
-    return points, colors
+
+def _binary_vertices(path: str, fh, n_vertices: int,
+                     properties: list[tuple[str, str]]) -> np.ndarray:
+    """Little-endian vertex records left in `fh`, one field per property."""
+    try:
+        dtype = np.dtype([(name, _BINARY_TYPES[ptype]) for ptype, name in properties])
+    except KeyError as exc:
+        raise FileFormatError(f"{path}: unsupported property type {exc}") from None
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad vertex properties: {exc}") from None
+    need = n_vertices * dtype.itemsize
+    payload = fh.read(need)
+    if len(payload) < need:
+        raise FileFormatError(
+            f"{path}: header declares {n_vertices} vertices ({need} bytes) but "
+            f"only {len(payload)} bytes of vertex data are present")
+    return np.frombuffer(payload, dtype=dtype, count=n_vertices)
 
 
 def write_ply(path: str, points: np.ndarray, colors: np.ndarray | None = None) -> None:
@@ -222,6 +284,8 @@ class PointCloudScene:
             raise ValueError(
                 f"query embedding has dimension {q.shape[0]}, scene declares "
                 f"{self.embedding_dim}")
+        if not np.isfinite(q).all():
+            raise ValueError("query embedding has a non-finite component")
         norm = float(np.linalg.norm(q))
         if abs(norm - 1.0) > EMBEDDING_NORM_TOL:
             raise ValueError(f"query embedding must be unit length, got norm {norm}")
@@ -345,9 +409,9 @@ def write_instances(path: str, instances: list[InstanceMask], embedding_dim: int
             for inst in instances
         ],
     }
+    text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_scene(cloud_path: str, instances_path: str) -> PointCloudScene:

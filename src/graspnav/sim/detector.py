@@ -15,7 +15,7 @@ import numpy as np
 from ..drawer import Detection2D
 from ..geometry import BBox2D, CameraIntrinsics, Pose, project_many
 from .noise import NoiseModel
-from .primitives import Box
+from .primitives import Box, aabb_corners
 from .scenegen import PlacedCabinet
 
 _MIN_BOX_PIXELS = 1.0
@@ -24,10 +24,7 @@ _MIN_BOX_PIXELS = 1.0
 def _project_box(box: Box, intrinsics: CameraIntrinsics,
                  cam_pose: Pose) -> BBox2D | None:
     """Tight pixel box around the projected corners, clipped to the image."""
-    lo, hi = box.aabb()
-    corners = np.array([[x, y, z] for x in (lo[0], hi[0])
-                        for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
-    u, v, z = project_many(corners, intrinsics, cam_pose)
+    u, v, z = project_many(aabb_corners(box.aabb()), intrinsics, cam_pose)
     if np.any(z <= 0):
         return None
     xmin = max(0.0, float(u.min()))

@@ -37,7 +37,7 @@ from ..optimizer import OptimizerWeights, select_best
 from ..scene import PointCloudScene
 from .detector import detect_boxes
 from .noise import NoiseModel
-from .render import render_depth
+from .render import add_depth_noise, render_depth, trace_depth
 from .scenegen import (PlacedObject, SceneSpec, SyntheticScene,
                        default_grasp_spec, default_search_spec, generate_scene)
 
@@ -170,7 +170,7 @@ class EpisodeReport:
                 "success": self.success, "details": self.details}
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 class _StageClock:
@@ -460,10 +460,11 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
     # check vs truth; the body is stationary, so looks average out noise
     close_eye = np.array([body_xy[0], body_xy[1], nav.camera_height])
     close_pose = look_at(close_eye, estimate.handle_center)
+    close_trace = trace_depth(synth.primitives, intr, close_pose)
     centers, axes, inliers = [], [], []
     for look_i in range(sim.close_looks):
-        close_depth = render_depth(synth.primitives, intr, close_pose, noise,
-                                   seed=derive_seed(seed, 40, look_i))
+        close_depth = add_depth_noise(close_trace, noise,
+                                      seed=derive_seed(seed, 40, look_i))
         close_dets = detect_boxes(cabinet, intr, close_pose, noise,
                                   seed=derive_seed(seed, 41, look_i))
         close_frame = DetectionFrame(intrinsics=intr, cam_pose=close_pose,

@@ -9,7 +9,7 @@ the camera axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,20 +44,19 @@ class Box:
 
     center: tuple[float, float, float]
     size: tuple[float, float, float]
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(x) for x in self.center))
         object.__setattr__(self, "size", tuple(float(x) for x in self.size))
         if any(s <= 0 for s in self.size):
             raise ConfigError(f"box extents must be positive, got {self.size}")
-
-    @property
-    def lo(self) -> np.ndarray:
-        return np.array(self.center) - 0.5 * np.array(self.size)
-
-    @property
-    def hi(self) -> np.ndarray:
-        return np.array(self.center) + 0.5 * np.array(self.size)
+        half = 0.5 * np.array(self.size)
+        lo, hi = np.array(self.center) - half, np.array(self.center) + half
+        for name, corner in (("lo", lo), ("hi", hi)):
+            corner.setflags(write=False)
+            object.__setattr__(self, name, corner)
 
     def aabb(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo, self.hi
@@ -66,18 +65,17 @@ class Box:
         """Slab test; entry parameter per ray, inf on miss or origin inside."""
         origin = np.asarray(origin, dtype=np.float64)
         dirs = np.asarray(dirs, dtype=np.float64)
+        tmin = np.full(len(dirs), -np.inf)
+        tmax = np.full(len(dirs), np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / dirs
-            t1 = (self.lo[None, :] - origin[None, :]) * inv
-            t2 = (self.hi[None, :] - origin[None, :]) * inv
-        near = np.fmin(t1, t2)
-        far = np.fmax(t1, t2)
-        # 0 * inf from a parallel ray starting on a slab face: treat the
-        # slab as never constraining that ray
-        near = np.where(np.isnan(near), -np.inf, near)
-        far = np.where(np.isnan(far), np.inf, far)
-        tmin = near.max(axis=1)
-        tmax = far.min(axis=1)
+            for axis in range(3):
+                t1 = (self.lo[axis] - origin[axis]) * inv[:, axis]
+                t2 = (self.hi[axis] - origin[axis]) * inv[:, axis]
+                # fmin/fmax ignore the NaN of 0 * inf, from a ray parallel
+                # to a slab that starts on one of its faces
+                tmin = np.fmax(tmin, np.fmin(t1, t2))
+                tmax = np.fmin(tmax, np.fmax(t1, t2))
         hit = (tmax >= tmin) & (tmin > _RAY_EPS)
         return np.where(hit, tmin, np.inf)
 
@@ -179,6 +177,13 @@ class Cylinder:
                             np.full(int(keep.sum()), z_cap)], axis=1)
             out.append(pts)
         return np.concatenate(out, axis=0)
+
+
+def aabb_corners(aabb: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The 8 corners (8, 3) of an axis-aligned box given as (lo, hi)."""
+    lo, hi = aabb
+    return np.array([[x, y, z] for x in (lo[0], hi[0])
+                     for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
 
 
 def aabbs_overlap(a: tuple[np.ndarray, np.ndarray],

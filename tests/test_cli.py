@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -11,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graspnav import cli
 from graspnav.cli import (EXIT_GRASP_FILTER, EXIT_LOCALIZATION,
                           EXIT_NAVIGATION, EXIT_NO_EMBEDDINGS, EXIT_OK,
                           EXIT_PARSE, main)
 from graspnav.drawer import DetectionFrame, write_detection_frame
-from graspnav.geometry import look_at
+from graspnav.geometry import CameraIntrinsics, look_at
 from graspnav.scene import save_scene, write_instances
 from graspnav.sim import (SimConfig, default_grasp_spec, default_search_spec,
                           detect_boxes, generate_scene, render_depth)
@@ -184,6 +186,31 @@ class TestPlanGrasp:
                    "--out", str(tmp_path / "x.json")])
         assert rc == EXIT_NAVIGATION
 
+    def test_nan_query_exits_1_without_report(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "query_crate.json").read_text())
+        doc["embedding"][1] = float("nan")
+        (tmp_path / "query_nan.json").write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        rc = main(["plan-grasp", "--scene", str(workdir / "scene.ply"),
+                   "--instances", str(workdir / "instances.json"),
+                   "--query", str(tmp_path / "query_nan.json"),
+                   "--grasps", str(workdir / "batch.json"), "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["temperature", "lambda_body", "lambda_align"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_optimizer_weight_exits_1(self, workdir, tmp_path, capsys,
+                                                 key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"optimizer": {{"{key}": {value}}}}}')
+        out = tmp_path / "x.json"
+        assert self._run(workdir, out, config=cfg) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_1(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"warp": 9}))
@@ -283,6 +310,26 @@ class TestSimulate:
         assert rc == EXIT_PARSE
         assert "tilt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["-3", "0", "two"])
+    def test_episode_count_below_one_exits_1(self, tmp_path, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--task", "grasp", "--episodes", count,
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == EXIT_PARSE
+        assert "--episodes" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_nan_summary_exits_1_without_summary(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def nan_batch(n, seed, **kwargs):
+            return [], {"episodes": n, "successes": 0, "success_rate": math.nan}
+        monkeypatch.setattr(cli, "run_grasp_batch", nan_batch)
+        out = tmp_path / "run"
+        rc = main(["simulate", "--task", "grasp", "--episodes", "1",
+                   "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert not (out / "summary.json").exists()
+
     def test_unknown_task_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--task", "fly", "--episodes", "1",
@@ -321,6 +368,25 @@ def _assert_help_contract(cmd):
         assert re.search(rf"^\s+{re.escape(sub)}\s", proc.stdout, re.M), sub
 
 
+class TestJsonEmitters:
+    def test_report_with_nan_is_not_written(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        for target in (str(out), None):
+            with pytest.raises(ValueError):
+                cli._emit({"similarity": math.nan}, target)
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_detection_frame_with_infinity_is_not_written(self, tmp_path):
+        intr = CameraIntrinsics(fx=math.inf, fy=1.0, cx=0.5, cy=0.5,
+                                width=2, height=2)
+        frame = DetectionFrame(intrinsics=intr, cam_pose=look_at(
+            np.zeros(3), np.array([0.0, 0.0, 1.0])), depth=np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            write_detection_frame(tmp_path / "frame.json", frame)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestHelpContract:
     def test_help_enumerates_exit_codes(self):
         proc = subprocess.run(
@@ -332,6 +398,9 @@ class TestHelpContract:
                      "3  localization failed", "4  grasp filtering",
                      "5  navigation"):
             assert line in proc.stdout
+
+    def test_python_m_graspnav(self):
+        _assert_help_contract([sys.executable, "-m", "graspnav"])
 
     def test_console_script_installed(self, tmp_path):
         """The declared ``graspnav`` entry point honours the help contract.

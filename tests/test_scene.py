@@ -23,6 +23,7 @@ from graspnav.scene import (
     load_scene,
     read_ply,
     save_scene,
+    write_instances,
     write_ply,
 )
 
@@ -41,6 +42,16 @@ def make_scene(points, instance_specs, embedding_dim=4):
     ]
     return PointCloudScene(points=np.asarray(points, dtype=np.float64), colors=None,
                            instances=instances, embedding_dim=embedding_dim)
+
+
+def write_binary_ply(path, fields, records, n_declared=None):
+    """Binary-little-endian PLY: fields are (PLY type, name) pairs."""
+    header = ["ply", "format binary_little_endian 1.0",
+              f"element vertex {len(records) if n_declared is None else n_declared}"]
+    header += [f"property {ptype} {name}" for ptype, name in fields]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\nend_header\n").encode("ascii"))
+        fh.write(records.tobytes())
 
 
 def write_instances_json(path, embedding_dim, records):
@@ -70,11 +81,68 @@ class TestPlyIO:
         np.testing.assert_array_equal(pts2, pts)
         assert colors2 is None
 
-    def test_rejects_binary_format(self, tmp_path):
+    def test_rejects_binary_header_without_vertices(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
         with pytest.raises(FileFormatError):
             read_ply(str(path))
+
+    def test_binary_double_matches_ascii(self, tmp_path):
+        pts = np.random.default_rng(1).normal(size=(40, 3))
+        write_ply(str(tmp_path / "a.ply"), pts)
+        records = np.ascontiguousarray(pts, dtype="<f8")
+        write_binary_ply(tmp_path / "b.ply", [("double", c) for c in "xyz"], records)
+        pts_a, _ = read_ply(str(tmp_path / "a.ply"))
+        pts_b, colors = read_ply(str(tmp_path / "b.ply"))
+        assert pts_b.dtype == np.float64
+        np.testing.assert_array_equal(pts_b, pts_a)
+        assert colors is None
+
+    def test_binary_float_with_colors_and_extra_property(self, tmp_path):
+        rng = np.random.default_rng(2)
+        dtype = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
+                          ("intensity", "<u2"), ("red", "u1"), ("green", "u1"),
+                          ("blue", "u1")])
+        records = np.zeros(25, dtype=dtype)
+        for c in "xyz":
+            records[c] = rng.normal(size=25)
+        for c in ("red", "green", "blue"):
+            records[c] = rng.integers(0, 256, size=25)
+        fields = [("float", "x"), ("float", "y"), ("float", "z"),
+                  ("ushort", "intensity"), ("uchar", "red"), ("uchar", "green"),
+                  ("uchar", "blue")]
+        write_binary_ply(tmp_path / "c.ply", fields, records)
+        pts, colors = read_ply(str(tmp_path / "c.ply"))
+        np.testing.assert_array_equal(
+            pts, np.stack([records[c] for c in "xyz"], axis=1).astype(np.float64))
+        np.testing.assert_array_equal(
+            colors, np.stack([records[c] for c in ("red", "green", "blue")], axis=1))
+        assert colors.dtype == np.uint8
+
+    def test_binary_rejects_short_payload(self, tmp_path):
+        records = np.zeros((3, 3), dtype="<f8")
+        write_binary_ply(tmp_path / "short.ply", [("double", c) for c in "xyz"],
+                         records, n_declared=4)
+        with pytest.raises(FileFormatError, match="4 vertices"):
+            read_ply(str(tmp_path / "short.ply"))
+
+    def test_rejects_big_endian(self, tmp_path):
+        path = tmp_path / "be.ply"
+        path.write_bytes(b"ply\nformat binary_big_endian 1.0\nelement vertex 0\n"
+                         b"property double x\nproperty double y\n"
+                         b"property double z\nend_header\n")
+        with pytest.raises(FileFormatError, match="binary_big_endian"):
+            read_ply(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, tmp_path, bad):
+        pts = np.array([[0.0, 1.0, 2.0], [3.0, bad, 5.0]])
+        write_ply(str(tmp_path / "a.ply"), pts)
+        write_binary_ply(tmp_path / "b.ply", [("double", c) for c in "xyz"],
+                         np.ascontiguousarray(pts, dtype="<f8"))
+        for name in ("a.ply", "b.ply"):
+            with pytest.raises(FileFormatError, match="vertex 1"):
+                read_ply(str(tmp_path / name))
 
     def test_rejects_missing_magic(self, tmp_path):
         path = tmp_path / "bad.ply"
@@ -104,6 +172,16 @@ class TestPlyIO:
 # ---------------------------------------------------------------------------
 # Instances file validation
 # ---------------------------------------------------------------------------
+
+class TestJsonWriters:
+    def test_write_instances_rejects_nan_and_writes_nothing(self, tmp_path):
+        inst = InstanceMask(id=0, label="mug", point_indices=np.array([0]),
+                            embedding=np.array([np.nan, 0.0]), confidence=0.5)
+        path = tmp_path / "instances.json"
+        with pytest.raises(ValueError):
+            write_instances(str(path), [inst], 2)
+        assert not path.exists()
+
 
 class TestLoadScene:
     @pytest.fixture
@@ -212,6 +290,12 @@ class TestQueryInstance:
         scene = make_scene(np.zeros((3, 3)), [(0, "mug", [0], None)])
         with pytest.raises(UnsupportedQueryError):
             scene.query_instance(np.array([1.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        scene = make_scene(np.zeros((3, 3)), [(0, "mug", [0], [1.0, 0.0, 0.0, 0.0])])
+        with pytest.raises(ValueError, match="non-finite"):
+            scene.query_instance(np.array([bad, 0.0, 0.0, 0.0]))
 
     def test_matches_brute_force_sort(self):
         rng = np.random.default_rng(31)

@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from graspnav.errors import ConfigError, GenerationError
-from graspnav.geometry import look_at, project_many
+from graspnav.geometry import Pose, look_at, project_many, rotation_about_z
 from graspnav.sim import (Box, CabinetSpec, Cylinder, NoiseModel, ObjectSpec,
                           SceneSpec, SimConfig, default_grasp_spec,
                           default_search_spec, derive_seed, detect_boxes,
                           generate_scene, render_depth, run_grasp_batch,
                           run_grasp_episode, run_search_batch,
                           run_search_episode, stratified_rect, summarize)
-from graspnav.sim.episodes import STAGES
+from graspnav.sim.episodes import STAGES, EpisodeReport, StageOutcome
 from graspnav.sim.primitives import aabbs_overlap
+from graspnav.sim.render import add_depth_noise, trace_depth
 from graspnav.sim.scenegen import TIER_GRASP_COUNTS, load_scene_spec
 
-from conftest import vga_intrinsics
+from conftest import random_pose, vga_intrinsics
 
 
 class TestStratifiedRect:
@@ -243,6 +244,107 @@ class TestRenderDepth:
         noise = NoiseModel(depth_sigma=0.5, depth_dropout=0.0)
         depth = render_depth([wall], intr, pose, noise, seed=1)
         assert depth.min() >= 0.0
+
+
+def _brute_force_depth(prims, intr, pose):
+    """Every ray against every primitive: the renderer's reference."""
+    us, vs = np.meshgrid(np.arange(intr.width, dtype=np.float64),
+                         np.arange(intr.height, dtype=np.float64))
+    dirs_cam = np.stack([(us.ravel() - intr.cx) / intr.fx,
+                         (vs.ravel() - intr.cy) / intr.fy,
+                         np.ones(intr.width * intr.height)], axis=1)
+    dirs = dirs_cam @ pose.rotation.T
+    t = np.full(len(dirs), np.inf)
+    if prims:
+        t = np.minimum.reduce([p.intersect(pose.translation, dirs) for p in prims])
+    return np.where(np.isfinite(t), t, 0.0).reshape(intr.height, intr.width)
+
+
+_SMALL_INTR = SimConfig().intrinsics
+
+
+class TestTraceDepthMatchesBruteForce:
+    """Culling each primitive to its screen window changes no depth bit."""
+
+    def _check(self, prims, intr, pose):
+        depth = trace_depth(prims, intr, pose)
+        assert_array_equal(depth, _brute_force_depth(prims, intr, pose))
+        return depth
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_boxes_and_cylinders(self, seed):
+        rng = np.random.default_rng(seed)
+        prims = []
+        for _ in range(6):
+            center = rng.uniform(-2.0, 2.0, size=3)
+            if rng.random() < 0.3:
+                prims.append(Cylinder(center=center, radius=rng.uniform(0.05, 0.6),
+                                      height=rng.uniform(0.1, 1.5)))
+            else:
+                prims.append(Box(center=center, size=rng.uniform(0.05, 1.5, size=3)))
+        # aimed at the cluster with a random roll, and one arbitrary pose
+        roll = Pose(rotation_about_z(rng.uniform(0.0, 2.0 * math.pi)), np.zeros(3))
+        aimed = look_at(rng.uniform(-4.0, 4.0, size=3),
+                        rng.uniform(-1.0, 1.0, size=3)).compose(roll)
+        depth = self._check(prims, _SMALL_INTR, aimed)
+        assert np.count_nonzero(depth) > 0
+        self._check(prims, _SMALL_INTR, random_pose(rng, span=1.5))
+
+    def test_searched_scenes_from_random_poses(self):
+        rng = np.random.default_rng(3)
+        for seed in range(3):
+            synth = generate_scene(default_search_spec(), seed=seed)
+            for _ in range(4):
+                eye = np.array([*rng.uniform(-2.5, 2.5, size=2), rng.uniform(0.2, 1.5)])
+                target = np.array([*rng.uniform(-2.5, 2.5, size=2), rng.uniform(0.0, 1.0)])
+                if np.linalg.norm(target - eye) < 0.1:
+                    continue
+                self._check(synth.primitives, _SMALL_INTR, look_at(eye, target))
+
+    def test_boxes_partly_and_wholly_off_screen(self):
+        pose = look_at(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        partly = Box(center=(1.2, 0.3, 2.0), size=(1.0, 0.5, 0.5))
+        beside = Box(center=(6.0, 0.0, 2.0), size=(0.5, 0.5, 0.5))
+        behind = Box(center=(0.0, 0.0, -3.0), size=(1.0, 1.0, 1.0))
+        depth = self._check([partly, beside, behind], _SMALL_INTR, pose)
+        assert 0 < np.count_nonzero(depth) < depth.size
+
+    def test_box_straddling_camera_plane(self):
+        pose = look_at(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        slab = Box(center=(0.8, 0.0, 0.0), size=(0.5, 0.5, 4.0))
+        depth = self._check([slab], _SMALL_INTR, pose)
+        assert np.count_nonzero(depth) > 0
+
+    def test_camera_inside_box(self):
+        pose = look_at(np.zeros(3), np.array([1.0, 0.5, 0.2]))
+        room = Box(center=(0.1, 0.0, 0.0), size=(3.0, 3.0, 3.0))
+        inner = Box(center=(1.0, 0.5, 0.2), size=(0.3, 0.3, 0.3))
+        depth = self._check([room, inner], _SMALL_INTR, pose)
+        assert np.count_nonzero(depth) > 0
+
+    def test_cylinder(self):
+        pose = look_at(np.array([1.5, -1.0, 0.8]), np.array([0.0, 0.0, 0.4]))
+        can = Cylinder(center=(0.0, 0.0, 0.4), radius=0.3, height=0.8)
+        depth = self._check([can], _SMALL_INTR, pose)
+        assert np.count_nonzero(depth) > 0
+
+    def test_frame_intrinsics(self):
+        synth = generate_scene(default_search_spec(), seed=4)
+        pose = _front_camera(synth)
+        depth = self._check(synth.primitives, vga_intrinsics(), pose)
+        assert np.count_nonzero(depth) > 0
+
+    def test_noise_overlay_composes_to_render_depth(self):
+        synth = generate_scene(default_search_spec(), seed=2)
+        pose = _front_camera(synth)
+        traced = trace_depth(synth.primitives, _SMALL_INTR, pose)
+        before = traced.copy()
+        for s in (0, 5, 17):
+            assert_array_equal(
+                add_depth_noise(traced, NoiseModel(), s),
+                render_depth(synth.primitives, _SMALL_INTR, pose, NoiseModel(), seed=s))
+        assert_array_equal(traced, before)
+        assert_array_equal(render_depth(synth.primitives, _SMALL_INTR, pose), traced)
 
 
 def _front_camera(synth, sim=None):
@@ -565,6 +667,13 @@ class TestBatchesAndSummary:
         r2, s2 = run_search_batch(4, base_seed=5)
         assert [r.to_json_line() for r in r1] == [r.to_json_line() for r in r2]
         assert s1 == s2
+
+    def test_report_line_rejects_nan(self):
+        rep = EpisodeReport(task="search", index=0, seed=1, query="cabinet",
+                            tier=None, stages=[StageOutcome("localization")],
+                            success=False, details={"handle_error": math.nan})
+        with pytest.raises(ValueError):
+            rep.to_json_line()
 
     def test_grasp_batch_cycles_targets(self):
         reports, summary = run_grasp_batch(6, base_seed=5,
