@@ -1,0 +1,116 @@
+"""One JSON codec for every config and scene-spec dataclass.
+
+A dataclass that subclasses `JsonCodec` gets `to_dict` and `from_dict`
+driven by its fields and their type hints. Decoding checks JSON input
+against the hints: `float` fields take finite numbers (a JSON integer is
+stored as a float), `int` fields take integers only, `str` fields take
+strings, booleans are never numbers, tuples have the hinted length,
+nested codec classes need an object, and `X | None` also takes null.
+Unknown keys and missing required keys are rejected; omitted keys take
+the field defaults. Every failure is a `ConfigError` naming the key path,
+such as ``nav.footprint_radius`` or ``objects[0].tier``. Range checks stay
+in each class's `__post_init__`, because Python callers construct these
+types directly; a `ValueError` or `ConfigError` raised there is re-raised
+as a `ConfigError` carrying the path.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import types
+import typing
+
+from .errors import ConfigError, FileFormatError
+
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string"}
+
+
+class JsonCodec:
+    """Mixin for dataclasses that read and write plain JSON values."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name))
+                for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return _decode_object(cls, d, "")
+
+
+def read_json_object(path, what: str) -> dict:
+    """Parse the JSON file at `path`, which must hold one object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {what} {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise FileFormatError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
+def _encode(value):
+    if isinstance(value, JsonCodec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _error(path: str, message: str) -> ConfigError:
+    return ConfigError(f"{path}: {message}" if path else message)
+
+
+def _decode_object(cls, d, path: str):
+    if not isinstance(d, dict):
+        raise _error(path, f"expected an object, got {d!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise _error(path, f"unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        key = f"{path}.{name}" if path else name
+        if name in d:
+            kwargs[name] = _decode(hints[name], d[name], key)
+        elif (f.default is dataclasses.MISSING
+              and f.default_factory is dataclasses.MISSING):
+            raise _error(key, "missing required key")
+    try:
+        return cls(**kwargs)
+    except (ConfigError, ValueError) as exc:
+        raise _error(path, str(exc)) from exc
+
+
+def _decode(hint, value, path: str):
+    if isinstance(hint, type) and issubclass(hint, JsonCodec):
+        return _decode_object(hint, value, path)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:      # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else _decode(inner, value, path)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _error(path, f"expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise _error(path, f"expected {len(args)} values, got {len(value)}")
+        return tuple(_decode(a, v, f"{path}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, value)))
+    if not isinstance(value, bool):
+        if hint is float and isinstance(value, (int, float)):
+            try:
+                number = float(value)
+            except OverflowError:
+                number = math.inf
+            if math.isfinite(number):
+                return number
+        elif isinstance(value, hint):
+            return value
+    raise _error(path, f"expected {_EXPECTED[hint]}, got {value!r}")

@@ -8,21 +8,18 @@ is what reports echo, making any run reproducible from its own output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from .codec import JsonCodec, read_json_object
 from .drawer import DrawerConfig
-from .errors import ConfigError, FileFormatError
 from .grasp import GraspConfig
 from .nav import NavConfig
 from .optimizer import OptimizerWeights
 from .sim import NoiseModel, SimConfig
 
-_SECTIONS = ("nav", "optimizer", "grasp", "drawer", "sim", "noise")
-
 
 @dataclass
-class RunConfig:
+class RunConfig(JsonCodec):
     """Fully resolved settings for queries, planning, and simulation."""
 
     nav: NavConfig = field(default_factory=NavConfig)
@@ -32,44 +29,7 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     noise: NoiseModel = field(default_factory=NoiseModel)
 
-    def to_dict(self) -> dict:
-        return {"nav": self.nav.to_dict(),
-                "optimizer": self.optimizer.to_dict(),
-                "grasp": self.grasp.to_dict(),
-                "drawer": self.drawer.to_dict(),
-                "sim": self.sim.to_dict(),
-                "noise": self.noise.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        unknown = set(d) - set(_SECTIONS)
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        parsers = {"nav": NavConfig.from_dict,
-                   "optimizer": OptimizerWeights.from_dict,
-                   "grasp": GraspConfig.from_dict,
-                   "drawer": DrawerConfig.from_dict,
-                   "sim": SimConfig.from_dict,
-                   "noise": NoiseModel.from_dict}
-        kwargs = {}
-        for section, parse in parsers.items():
-            if section in d:
-                try:
-                    kwargs[section] = parse(d[section])
-                except ConfigError as exc:
-                    raise ConfigError(f"in section {section!r}: {exc}") from exc
-        return cls(**kwargs)
-
 
 def load_run_config(path) -> RunConfig:
     """Read a RunConfig from a JSON file; missing sections use defaults."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise FileFormatError(f"config {path} must hold a JSON object")
-    return RunConfig.from_dict(raw)
+    return RunConfig.from_dict(read_json_object(path, "config"))

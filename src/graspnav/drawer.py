@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .codec import JsonCodec
 from .errors import (ConfigError, DegenerateBBoxError, DegenerateInputError,
                      FileFormatError, GraspNavError, InvalidAxisError,
                      MissingDepthError, NoPlaneFoundError)
@@ -154,7 +155,7 @@ class PullPlan:
 
 
 @dataclass(frozen=True)
-class DrawerConfig:
+class DrawerConfig(JsonCodec):
     """Tuning for matching, fusion, and pull planning."""
 
     kappa: float = DEFAULT_KAPPA
@@ -173,27 +174,6 @@ class DrawerConfig:
         for name in ("cluster_radius", "gate_radius", "standoff", "pull_distance"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return {"kappa": self.kappa, "ioa_min": self.ioa_min,
-                "cluster_radius": self.cluster_radius,
-                "gate_radius": self.gate_radius, "standoff": self.standoff,
-                "pull_distance": self.pull_distance,
-                "ransac": self.ransac.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DrawerConfig":
-        known = {"kappa", "ioa_min", "cluster_radius", "gate_radius",
-                 "standoff", "pull_distance", "ransac"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown drawer config keys: {sorted(unknown)}")
-        d = dict(d)
-        try:
-            ransac = RansacParams.from_dict(d.pop("ransac", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad ransac block: {exc}") from exc
-        return cls(ransac=ransac, **d)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +448,7 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
             raise _frame_error(path, f"missing required key {key!r}")
     try:
         intrinsics = CameraIntrinsics.from_dict(raw["intrinsics"])
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise _frame_error(path, f"bad intrinsics: {exc}") from exc
     pose_values = raw["cam_pose"]
     if not isinstance(pose_values, list) or len(pose_values) != 16:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .codec import JsonCodec
 from .errors import (
     BehindCameraError,
     DegenerateInputError,
@@ -136,7 +137,7 @@ def look_at(eye: np.ndarray, target: np.ndarray, up: np.ndarray | None = None) -
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
+class CameraIntrinsics(JsonCodec):
     """Pinhole intrinsics; fx, fy, cx, cy in pixels, image size in pixels."""
 
     fx: float
@@ -159,18 +160,6 @@ class CameraIntrinsics:
 
     def contains(self, u: float, v: float) -> bool:
         return 0.0 <= u < self.width and 0.0 <= v < self.height
-
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "width": self.width, "height": self.height}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        try:
-            return cls(fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]),
-                       cy=float(d["cy"]), width=int(d["width"]), height=int(d["height"]))
-        except KeyError as exc:
-            raise ValueError(f"intrinsics block missing field {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -231,7 +220,7 @@ class Plane:
 
 
 @dataclass(frozen=True)
-class RansacParams:
+class RansacParams(JsonCodec):
     """Tuning for plane search: inlier threshold (m), iterations, min fraction."""
 
     threshold: float = 0.005
@@ -245,18 +234,6 @@ class RansacParams:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 <= self.min_inlier_fraction <= 1.0:
             raise ValueError(f"min_inlier_fraction must be in [0, 1], got {self.min_inlier_fraction}")
-
-    def to_dict(self) -> dict:
-        return {"threshold": self.threshold, "iterations": self.iterations,
-                "min_inlier_fraction": self.min_inlier_fraction}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RansacParams":
-        known = {"threshold", "iterations", "min_inlier_fraction"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown ransac config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 class PointIndex:

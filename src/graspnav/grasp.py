@@ -23,9 +23,10 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .codec import JsonCodec
 from .errors import (ConfigError, DegenerateInputError, FileFormatError,
                      InvalidRotationError)
-from .geometry import ROTATION_TOL, Pose
+from .geometry import ROTATION_TOL, Pose, rotation_about_z
 
 DEFAULT_ON_OBJECT_TOL = 0.02
 DEFAULT_SWEEP_COUNT = 4
@@ -55,7 +56,7 @@ class GraspCandidate:
 
 
 @dataclass
-class GraspConfig:
+class GraspConfig(JsonCodec):
     """Knobs for the grasp ingestion stage of the pipeline."""
 
     on_object_tol: float = DEFAULT_ON_OBJECT_TOL
@@ -78,20 +79,6 @@ class GraspConfig:
             raise ConfigError(
                 f"min_similarity must be in [0, 1], got {self.min_similarity}")
 
-    def to_dict(self) -> dict:
-        return {"on_object_tol": self.on_object_tol, "top_k": self.top_k,
-                "sweep_count": self.sweep_count,
-                "isolate_padding": self.isolate_padding,
-                "min_similarity": self.min_similarity}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GraspConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown grasp config keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
 class GraspBatch:
@@ -110,12 +97,14 @@ def sweep_pose(rotation: np.ndarray, centroid: np.ndarray) -> Pose:
 
 def sweep_rotations(count: int) -> list[np.ndarray]:
     """Evenly spaced yaw rotations (about +z), starting at identity."""
-    out = []
-    for i in range(count):
-        angle = 2.0 * math.pi * i / count
-        ca, sa = math.cos(angle), math.sin(angle)
-        out.append(np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]]))
-    return out
+    return [rotation_about_z(2.0 * math.pi * i / count) for i in range(count)]
+
+
+def _finite_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} holds a non-finite value")
+    return arr
 
 
 def load_grasp_batch(path: str) -> GraspBatch:
@@ -123,21 +112,26 @@ def load_grasp_batch(path: str) -> GraspBatch:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: cannot parse grasp batch: {exc}") from exc
     try:
-        rotation = np.asarray(doc["rotation"], dtype=np.float64).reshape(3, 3)
+        rotation = _finite_array(doc["rotation"], (3, 3), "rotation")
         raw = doc["candidates"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed grasp batch: {exc}") from exc
+    if not isinstance(raw, list):
+        raise FileFormatError(f"{path}: candidates must be a list, got {raw!r}")
     candidates = []
     for i, rec in enumerate(raw):
         try:
-            pose = Pose(np.asarray(rec["rotation"], dtype=np.float64).reshape(3, 3),
-                        np.asarray(rec["translation"], dtype=np.float64))
-            candidates.append(GraspCandidate(pose=pose, width=float(rec["width"]),
-                                             score=float(rec["score"])))
-        except (KeyError, TypeError, ValueError, InvalidRotationError) as exc:
+            pose = Pose(_finite_array(rec["rotation"], (3, 3), "rotation"),
+                        _finite_array(rec["translation"], (3,), "translation"))
+            width, score = float(rec["width"]), float(rec["score"])
+            if not (math.isfinite(width) and math.isfinite(score)):
+                raise ValueError(f"width {width} and score {score} must be finite")
+            candidates.append(GraspCandidate(pose=pose, width=width, score=score))
+        except (KeyError, TypeError, ValueError, OverflowError,
+                InvalidRotationError) as exc:
             raise FileFormatError(f"{path}: candidate {i}: {exc}") from exc
     return GraspBatch(rotation=rotation, candidates=candidates)
 

@@ -17,10 +17,11 @@ floor slab.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import JsonCodec
 from .errors import ConfigError, EmptySceneError
 from .geometry import line_of_sight
 from .scene import PointCloudScene
@@ -33,7 +34,7 @@ _RING_COUNT_EPS = 1e-9
 
 
 @dataclass
-class NavConfig:
+class NavConfig(JsonCodec):
     """Sampling radii and validation thresholds; all serializable."""
 
     radii: tuple[float, ...] = (0.7, 0.9, 1.1)
@@ -60,18 +61,6 @@ class NavConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.los_target_exclusion < 0 or self.floor_slab < 0:
             raise ConfigError("los_target_exclusion and floor_slab must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {f.name: (list(self.radii) if f.name == "radii" else getattr(self, f.name))
-                for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NavConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown nav config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass

@@ -21,12 +21,12 @@ bit-identical scores.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .codec import JsonCodec
 from .errors import ConfigError, DegenerateGeometryError, NoGraspError, NoPoseError
 from .grasp import GraspCandidate
 from .nav import BodyCandidate
@@ -37,29 +37,14 @@ DEFAULT_TEMPERATURE = 1.0
 
 
 @dataclass(frozen=True)
-class OptimizerWeights:
+class OptimizerWeights(JsonCodec):
     lambda_body: float = DEFAULT_LAMBDA_BODY
     lambda_align: float = DEFAULT_LAMBDA_ALIGN
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizerWeights":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown optimizer config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -335,14 +335,18 @@ def _parse_instance(record: dict, n_points: int, dim: int,
         inst_id = int(record["id"])
         label = str(record["label"])
         confidence = float(record["confidence"])
-        raw_indices = record["point_indices"]
+        indices = np.asarray(record["point_indices"], dtype=np.int64)
         raw_embedding = record.get("embedding")
-    except (KeyError, TypeError, ValueError) as exc:
+        embedding = (None if raw_embedding is None
+                     else np.asarray(raw_embedding, dtype=np.float64))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed instance record: {exc}") from exc
     if not 0.0 <= confidence <= 1.0:
         raise FileFormatError(
             f"{path}: instance {inst_id} confidence {confidence} outside [0, 1]")
-    indices = np.asarray(raw_indices, dtype=np.int64)
+    if indices.ndim != 1:
+        raise FileFormatError(
+            f"{path}: instance {inst_id} point_indices must be a flat list")
     if indices.size == 0:
         raise FileFormatError(f"{path}: instance {inst_id} has no points")
     if indices.min() < 0 or indices.max() >= n_points:
@@ -356,15 +360,13 @@ def _parse_instance(record: dict, n_points: int, dim: int,
             f"{path}: instance {inst_id} overlaps a previous instance at "
             f"point index {clash}")
     claimed[indices] = True
-    embedding = None
-    if raw_embedding is not None:
-        embedding = np.asarray(raw_embedding, dtype=np.float64)
+    if embedding is not None:
         if embedding.shape != (dim,):
             raise FileFormatError(
                 f"{path}: instance {inst_id} embedding has {embedding.size} "
                 f"values, header declares {dim}")
         norm = float(np.linalg.norm(embedding))
-        if abs(norm - 1.0) > EMBEDDING_NORM_TOL:
+        if not abs(norm - 1.0) <= EMBEDDING_NORM_TOL:
             raise FileFormatError(
                 f"{path}: instance {inst_id} embedding norm {norm} is not 1")
     return InstanceMask(id=inst_id, label=label, point_indices=indices,
@@ -375,13 +377,14 @@ def read_instances(path: str, n_points: int) -> tuple[list[InstanceMask], int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: cannot parse instances file: {exc}") from exc
-    if not isinstance(doc, dict) or "instances" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("instances"), list):
         raise FileFormatError(f"{path}: expected an object with an 'instances' list")
-    dim = int(doc.get("embedding_dim", DEFAULT_EMBEDDING_DIM))
-    if dim <= 0:
-        raise FileFormatError(f"{path}: embedding_dim must be positive, got {dim}")
+    dim = doc.get("embedding_dim", DEFAULT_EMBEDDING_DIM)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
+        raise FileFormatError(
+            f"{path}: embedding_dim must be a positive integer, got {dim!r}")
     claimed = np.zeros(n_points, dtype=bool)
     instances = []
     seen_ids: set[int] = set()

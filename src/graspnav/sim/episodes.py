@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..codec import JsonCodec
 from ..drawer import (DetectionFrame, DrawerConfig, fuse_views,
                       match_handles_to_drawers, plan_pull, refine_target,
                       view_target)
@@ -62,7 +63,7 @@ def derive_seed(root: int, *indices: int) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(JsonCodec):
     """Camera, viewpoint, tolerance, and difficulty settings."""
 
     image_width: int = 160
@@ -107,27 +108,6 @@ class SimConfig:
         factor = {"easy": self.tier_noise_easy, "medium": self.tier_noise_medium,
                   "hard": self.tier_noise_hard}[tier]
         return depth_sigma * factor
-
-    def to_dict(self) -> dict:
-        return {"image_width": self.image_width, "image_height": self.image_height,
-                "focal": self.focal, "n_views": self.n_views,
-                "view_candidates": self.view_candidates,
-                "view_span_deg": self.view_span_deg,
-                "view_radius": self.view_radius,
-                "grasp_success_tol": self.grasp_success_tol,
-                "axis_tol_deg": self.axis_tol_deg, "handle_tol": self.handle_tol,
-                "close_looks": self.close_looks,
-                "tier_noise_easy": self.tier_noise_easy,
-                "tier_noise_medium": self.tier_noise_medium,
-                "tier_noise_hard": self.tier_noise_hard}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown sim config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

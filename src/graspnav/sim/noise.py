@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..codec import JsonCodec
 from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(JsonCodec):
     """Disturbances applied to rendered depth and detected boxes.
 
     Defaults are the reference noise level: 5 mm depth noise, 10% depth
@@ -44,22 +45,3 @@ class NoiseModel:
     def noiseless(cls) -> "NoiseModel":
         return cls(depth_sigma=0.0, depth_dropout=0.0, detection_dropout=0.0,
                    bbox_jitter_sigma=0.0, confidence_range=(1.0, 1.0))
-
-    def to_dict(self) -> dict:
-        return {"depth_sigma": self.depth_sigma,
-                "depth_dropout": self.depth_dropout,
-                "detection_dropout": self.detection_dropout,
-                "bbox_jitter_sigma": self.bbox_jitter_sigma,
-                "confidence_range": list(self.confidence_range)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        known = {"depth_sigma", "depth_dropout", "detection_dropout",
-                 "bbox_jitter_sigma", "confidence_range"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown noise config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "confidence_range" in d:
-            d["confidence_range"] = tuple(d["confidence_range"])
-        return cls(**d)

@@ -10,13 +10,13 @@ handle centers and pull axes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..codec import JsonCodec, read_json_object
 from ..errors import ConfigError, GenerationError
 from ..scene import InstanceMask, PointCloudScene
 from .primitives import Box, Cylinder, aabbs_overlap, stratified_rect
@@ -40,14 +40,8 @@ _PLACE_ATTEMPTS = 100
 # Specs
 # ---------------------------------------------------------------------------
 
-def _check_keys(d: dict, known: set, what: str) -> None:
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-
-
 @dataclass(frozen=True)
-class ObjectSpec:
+class ObjectSpec(JsonCodec):
     """A free-standing object: box size (sx, sy, sz) or cylinder (r, h)."""
 
     label: str
@@ -67,19 +61,9 @@ class ObjectSpec:
                 f"{self.shape} size needs {expected} positive values, got {self.size}")
         object.__setattr__(self, "size", size)
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "shape": self.shape,
-                "size": list(self.size), "tier": self.tier}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObjectSpec":
-        _check_keys(d, {"label", "shape", "size", "tier"}, "object spec")
-        return cls(label=d["label"], shape=d["shape"],
-                   size=tuple(d["size"]), tier=d["tier"])
-
 
 @dataclass(frozen=True)
-class CabinetSpec:
+class CabinetSpec(JsonCodec):
     """A drawer cabinet standing on the floor, facing a cardinal direction."""
 
     center: tuple[float, float] = (1.2, 0.0)
@@ -110,29 +94,9 @@ class CabinetSpec:
         if self.clear_front < 0:
             raise ConfigError(f"clear_front must be >= 0, got {self.clear_front}")
 
-    def to_dict(self) -> dict:
-        return {"center": list(self.center), "facing": self.facing,
-                "width": self.width, "height": self.height, "depth": self.depth,
-                "n_drawers": self.n_drawers, "handle_width": self.handle_width,
-                "handle_height": self.handle_height,
-                "front_proud": self.front_proud,
-                "handle_proud": self.handle_proud,
-                "clear_front": self.clear_front}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CabinetSpec":
-        _check_keys(d, {"center", "facing", "width", "height", "depth",
-                        "n_drawers", "handle_width", "handle_height",
-                        "front_proud", "handle_proud", "clear_front"},
-                    "cabinet spec")
-        d = dict(d)
-        if "center" in d:
-            d["center"] = tuple(d["center"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(JsonCodec):
     """Everything needed to generate a scene, minus the seed."""
 
     floor_extent: float = 4.0
@@ -147,30 +111,9 @@ class SceneSpec:
             raise ConfigError(f"density must be positive, got {self.density}")
         object.__setattr__(self, "objects", tuple(self.objects))
 
-    def to_dict(self) -> dict:
-        return {"floor_extent": self.floor_extent, "density": self.density,
-                "objects": [o.to_dict() for o in self.objects],
-                "cabinet": None if self.cabinet is None else self.cabinet.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneSpec":
-        _check_keys(d, {"floor_extent", "density", "objects", "cabinet"},
-                    "scene spec")
-        objects = tuple(ObjectSpec.from_dict(o) for o in d.get("objects", []))
-        cabinet = d.get("cabinet")
-        if cabinet is not None:
-            cabinet = CabinetSpec.from_dict(cabinet)
-        return cls(floor_extent=d.get("floor_extent", 4.0),
-                   density=d.get("density", DEFAULT_DENSITY),
-                   objects=objects, cabinet=cabinet)
-
 
 def load_scene_spec(path: str | Path) -> SceneSpec:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return SceneSpec.from_dict(raw)
+    return SceneSpec.from_dict(read_json_object(path, "scene spec"))
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,78 @@ class TestSimulate:
         assert exc.value.code == EXIT_PARSE
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+_NAN = float("nan")
+_IDENTITY = [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]
+_CANDIDATE = {"translation": [0.1, 0.2, 0.3], "rotation": _IDENTITY,
+              "width": 0.04, "score": 0.9}
+
+
+def _batch_with(**candidate):
+    return {"rotation": _IDENTITY, "candidates": [{**_CANDIDATE, **candidate}]}
+
+
+# (input file, its JSON document, text the error message must contain)
+BOUNDARY_PROBES = [
+    ("config", {"nav": {"footprint_radius": "0.3"}}, "nav.footprint_radius"),
+    ("config", {"nav": 5}, "nav: expected an object"),
+    ("config", {"sim": {"image_width": 160.0}}, "sim.image_width"),
+    ("config", {"drawer": {"ransac": {"iterations": 2.5}}},
+     "drawer.ransac.iterations"),
+    ("config", {"grasp": {"top_k": 2.5}}, "grasp.top_k"),
+    ("config", {"grasp": {"sweep_count": True}}, "grasp.sweep_count"),
+    ("config", {"drawer": {"kappa": _NAN}}, "drawer.kappa"),
+    ("config", {"sim": {"handle_tol": _NAN}}, "sim.handle_tol"),
+    ("config", {"nav": {"footprint_radius": _NAN}}, "nav.footprint_radius"),
+    ("config", {"grasp": {"on_object_tol": _NAN}}, "grasp.on_object_tol"),
+    ("config", [], "must hold a JSON object"),
+    ("spec", [{"floor_extent": 4.0}], "must hold a JSON object"),
+    ("spec", {"objects": [{"label": "x", "shape": "box",
+                           "size": [0.2, 0.2, 0.2]}]}, "objects[0].tier"),
+    ("spec", {"cabinet": {"center": [1.0, 0.0, 0.0]}}, "cabinet.center"),
+    ("grasps", {"rotation": _IDENTITY, "candidates": 5}, "candidates"),
+    ("grasps", {"rotation": [_NAN] + _IDENTITY[1:], "candidates": []},
+     "rotation"),
+    ("grasps", _batch_with(rotation=[_NAN] + _IDENTITY[1:]),
+     "candidate 0: rotation"),
+    ("grasps", _batch_with(translation=[0.1, _NAN, 0.3]),
+     "candidate 0: translation"),
+    ("grasps", _batch_with(width=_NAN), "candidate 0: width"),
+    ("grasps", _batch_with(score=float("inf")), "candidate 0: width"),
+    ("instances", {"embedding_dim": 4, "instances": 5}, "'instances' list"),
+    ("instances", {"embedding_dim": 2.7, "instances": []}, "embedding_dim"),
+    ("instances", {"embedding_dim": _NAN, "instances": []}, "embedding_dim"),
+    ("instances", {"embedding_dim": [1], "instances": []}, "embedding_dim"),
+]
+
+
+class TestBoundaryProbes:
+    """Malformed input files exit 1 with the offending key named."""
+
+    @pytest.mark.parametrize(
+        "kind, doc, needle", BOUNDARY_PROBES,
+        ids=[f"{kind}{i}" for i, (kind, _, _) in enumerate(BOUNDARY_PROBES)])
+    def test_probe_exits_1_naming_the_key(self, workdir, tmp_path, capsys,
+                                          kind, doc, needle):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if kind in ("config", "spec"):
+            argv = ["simulate", "--task", "search", "--episodes", "1",
+                    f"--{kind}", str(path), "--out", str(out)]
+        else:
+            inputs = {"instances": workdir / "instances.json",
+                      "grasps": workdir / "batch.json", kind: path}
+            argv = ["plan-grasp", "--scene", str(workdir / "scene.ply"),
+                    "--instances", str(inputs["instances"]),
+                    "--query", str(workdir / "query_crate.json"),
+                    "--grasps", str(inputs["grasps"]), "--out", str(out)]
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
+        assert not out.exists()
+
+
+PYPROJECT =Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # The console-script wrapper an installer (pip, via distlib) writes.
 _CONSOLE_SCRIPT = """\

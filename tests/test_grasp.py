@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ class TestSweepPose:
         assert len(rots) == 4
         np.testing.assert_allclose(rots[0], np.eye(3), atol=1e-15)
         np.testing.assert_allclose(rots[1], rotation_about_z(np.pi / 2), atol=1e-12)
+        for count in (1, 4, 7):
+            for i, rot in enumerate(sweep_rotations(count)):
+                angle = 2.0 * math.pi * i / count
+                ca, sa = math.cos(angle), math.sin(angle)
+                expected = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+                np.testing.assert_array_equal(rot, expected)
 
 
 class TestMergeRotationSweeps:
