@@ -25,26 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_run_config
-from .drawer import (fuse_views, load_detection_frame,
-                     match_handles_to_drawers, view_target)
-from .errors import (DegenerateInputError, GraspNavError, LocalizationError,
-                     MissingDepthError, NoGraspError, NoPlaneFoundError,
-                     NoPoseError, UnsupportedQueryError)
-from .grasp import filter_grasps, load_grasp_batch, merge_rotation_sweeps, \
-    sweep_pose, top_k_by_score
-from .nav import sample_positions, validate_candidates
-from .optimizer import select_best
+from .drawer import load_detection_frame
+from .errors import FileFormatError, GraspNavError, LocalizationError
+from .grasp import load_grasp_batch, merge_rotation_sweeps, sweep_pose, \
+    top_k_by_score
+# the EXIT_* codes stay importable from here for callers of main
+from .pipeline import (EXIT_GRASP_FILTER, EXIT_LOCALIZATION, EXIT_NAVIGATION,
+                       EXIT_NO_EMBEDDINGS, EXIT_OK, EXIT_PARSE, STAGE_ERRORS,
+                       perceive_drawers, plan_grasp)
 from .scene import load_scene
 from .sim import derive_seed, run_grasp_batch, run_search_batch
 from .sim.scenegen import (default_grasp_spec, default_search_spec,
                            load_scene_spec)
-
-EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_NO_EMBEDDINGS = 2
-EXIT_LOCALIZATION = 3
-EXIT_GRASP_FILTER = 4
-EXIT_NAVIGATION = 5
 
 _EXIT_CODES_HELP = """\
 exit codes:
@@ -81,11 +73,16 @@ def _load_query_embedding(path: str) -> np.ndarray:
         raw = json.load(fh)
     if isinstance(raw, dict):
         raw = raw.get("embedding")
-    if not isinstance(raw, list) or not raw:
-        raise ValueError(
-            f"{path}: expected a JSON list of floats or an object with an"
-            f" 'embedding' list")
-    return np.asarray(raw, dtype=np.float64)
+    # JSON numbers only: booleans, strings and nested lists are refused
+    if (isinstance(raw, list) and raw
+            and all(type(x) in (int, float) for x in raw)):
+        try:
+            return np.asarray(raw, dtype=np.float64)
+        except OverflowError:
+            pass
+    raise FileFormatError(
+        f"{path}: expected a non-empty flat JSON list of numbers, or an"
+        f" object whose 'embedding' is one")
 
 
 def _resolve_config(path: str | None) -> RunConfig:
@@ -167,24 +164,9 @@ def cmd_plan_grasp(args) -> int:
         batch = load_grasp_batch(path)
         kept = top_k_by_score(batch.candidates, config.grasp.top_k)
         batches.append((sweep_pose(batch.rotation, centroid), kept))
-    merged = merge_rotation_sweeps(batches)
-    if not merged:
-        raise NoGraspError("grasp batches contain no candidates")
-    object_points = scene.instance_points(top.instance_id)
-    filtered = filter_grasps(merged, object_points, config.grasp.on_object_tol)
-    if not filtered:
-        raise NoGraspError(
-            f"no candidate with positive score lies within"
-            f" {config.grasp.on_object_tol} m of the object")
-
-    candidates = sample_positions(centroid, config.nav)
-    bodies = validate_candidates(candidates, scene, top.instance_id, config.nav)
-    valid = [b for b in bodies if b.valid]
-    if not valid:
-        raise NoPoseError("no sampled body placement is valid")
-
-    selection = select_best(filtered, valid, centroid, config.optimizer)
-    chosen_body = valid[selection.body_index]
+    plan = plan_grasp(scene, top.instance_id, merge_rotation_sweeps(batches),
+                      config.grasp, config.nav, config.optimizer)
+    selection = plan.selection
     report = {
         "command": "plan-grasp",
         "config": config.to_dict(),
@@ -192,12 +174,11 @@ def cmd_plan_grasp(args) -> int:
                          "label": scene.instance(top.instance_id).label,
                          "similarity": float(top.similarity),
                          "centroid": [float(x) for x in centroid]},
-        "grasps": [_grasp_dict(i, g) for i, g in enumerate(filtered)],
-        "bodies": [_body_dict(i, b) for i, b in enumerate(bodies)],
+        "grasps": [_grasp_dict(i, g) for i, g in enumerate(plan.grasps)],
+        "bodies": [_body_dict(i, b) for i, b in enumerate(plan.bodies)],
         "selection": {**selection.to_dict(),
-                      "grasp": _grasp_dict(selection.grasp_index,
-                                           filtered[selection.grasp_index]),
-                      "body": _body_dict(selection.body_index, chosen_body)},
+                      "grasp": _grasp_dict(selection.grasp_index, plan.grasp),
+                      "body": _body_dict(selection.body_index, plan.body)},
     }
     _emit(report, args.out)
     return EXIT_OK
@@ -205,33 +186,15 @@ def cmd_plan_grasp(args) -> int:
 
 def cmd_match_drawers(args) -> int:
     config = _resolve_config(args.config)
-    targets = []
-    frame_stats = []
-    for frame_i, path in enumerate(args.frames):
-        frame = load_detection_frame(path)
-        pairs = match_handles_to_drawers(frame.handles, frame.drawers,
-                                         kappa=config.drawer.kappa,
-                                         ioa_min=config.drawer.ioa_min)
-        lifted = 0
-        for pair_i, pair in enumerate(pairs):
-            try:
-                vt = view_target(pair, frame, config.drawer.ransac,
-                                 seed=derive_seed(args.seed, frame_i, pair_i))
-            except (MissingDepthError, DegenerateInputError,
-                    NoPlaneFoundError):
-                continue
-            targets.append(vt)
-            lifted += 1
-        frame_stats.append({"frame": str(path),
-                            "handles": len(frame.handles),
-                            "drawers": len(frame.drawers),
-                            "matched": len(pairs), "lifted": lifted})
-    fused = fuse_views(targets, config.drawer.cluster_radius)
+    fused, per_frame = perceive_drawers(
+        (load_detection_frame(path) for path in args.frames), config.drawer,
+        lambda frame_i, pair_i: derive_seed(args.seed, frame_i, pair_i))
     report = {
         "command": "match-drawers",
         "config": config.to_dict(),
         "seed": args.seed,
-        "frames": frame_stats,
+        "frames": [{"frame": str(path), **counts}
+                   for path, counts in zip(args.frames, per_frame)],
         "targets": [t.to_dict() for t in fused],
     }
     _emit(report, args.out)
@@ -346,21 +309,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedQueryError as exc:
+    except (GraspNavError, ValueError, OSError) as exc:
         print(f"graspnav: {exc}", file=sys.stderr)
-        return EXIT_NO_EMBEDDINGS
-    except LocalizationError as exc:
-        print(f"graspnav: {exc}", file=sys.stderr)
-        return EXIT_LOCALIZATION
-    except NoGraspError as exc:
-        print(f"graspnav: {exc}", file=sys.stderr)
-        return EXIT_GRASP_FILTER
-    except NoPoseError as exc:
-        print(f"graspnav: {exc}", file=sys.stderr)
-        return EXIT_NAVIGATION
-    except (GraspNavError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"graspnav: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return STAGE_ERRORS.get(type(exc), (None, EXIT_PARSE))[1]
 
 
 if __name__ == "__main__":

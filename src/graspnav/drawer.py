@@ -443,9 +443,15 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise _frame_error(path, f"invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise _frame_error(path, "expected a JSON object")
     for key in ("intrinsics", "cam_pose", "depth_file", "detections"):
         if key not in raw:
             raise _frame_error(path, f"missing required key {key!r}")
+    if not isinstance(raw["detections"], list):
+        raise _frame_error(path, "detections must be a list")
+    if not isinstance(raw["depth_file"], str) or not raw["depth_file"]:
+        raise _frame_error(path, "depth_file must be a non-empty string")
     try:
         intrinsics = CameraIntrinsics.from_dict(raw["intrinsics"])
     except ConfigError as exc:

@@ -65,11 +65,20 @@ class LocalizationError(GraspNavError):
     """The queried object could not be localized in the scene."""
 
 
-class NoGraspError(GraspNavError):
+class StageError(GraspNavError):
+    """A planning stage left nothing to continue with; ``reason`` names the
+    failure in episode reports."""
+
+    def __init__(self, message: str, reason: str | None = None):
+        super().__init__(message)
+        self.reason = reason
+
+
+class NoGraspError(StageError):
     """No grasp candidates remain to select from."""
 
 
-class NoPoseError(GraspNavError):
+class NoPoseError(StageError):
     """No valid body candidates remain to select from."""
 
 

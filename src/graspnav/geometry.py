@@ -214,10 +214,6 @@ class Plane:
             raise ValueError(f"plane normal must be unit length, got |n| = {ln}")
         object.__setattr__(self, "normal", n)
 
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.normal - self.offset
-
 
 @dataclass(frozen=True)
 class RansacParams(JsonCodec):

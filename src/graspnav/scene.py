@@ -3,7 +3,7 @@
 A scene couples a point cloud with labeled instance masks. Masks may carry
 a unit embedding; localization queries rank instances by cosine similarity
 against a query embedding in the same space. Scenes are immutable after
-load; every accessor is read-only, so one scene can serve many threads.
+load; every accessor is read-only.
 
 File formats:
     * Cloud: ASCII or binary-little-endian PLY, vertex properties x y z
@@ -15,7 +15,6 @@ File formats:
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,7 +228,6 @@ class PointCloudScene:
         self.bounds = np.stack([self.points.min(axis=0), self.points.max(axis=0)])
         self._by_id = {inst.id: inst for inst in self.instances}
         self._index_cache: dict[tuple[int | None, float | None], PointIndex] = {}
-        self._cache_lock = threading.Lock()
 
     # -- lookups ------------------------------------------------------------
 
@@ -255,18 +253,17 @@ class PointCloudScene:
         if exclude_instance is not None:
             self.instance(exclude_instance)  # raise before caching odd keys
         key = (exclude_instance, min_z)
-        with self._cache_lock:
-            cached = self._index_cache.get(key)
-            if cached is not None:
-                return cached
-            mask = np.ones(len(self.points), dtype=bool)
-            if exclude_instance is not None:
-                mask[self.instance(exclude_instance).point_indices] = False
-            if min_z is not None:
-                mask &= self.points[:, 2] >= min_z
-            index = PointIndex(self.points[mask])
-            self._index_cache[key] = index
-            return index
+        cached = self._index_cache.get(key)
+        if cached is not None:
+            return cached
+        mask = np.ones(len(self.points), dtype=bool)
+        if exclude_instance is not None:
+            mask[self.instance(exclude_instance).point_indices] = False
+        if min_z is not None:
+            mask &= self.points[:, 2] >= min_z
+        index = PointIndex(self.points[mask])
+        self._index_cache[key] = index
+        return index
 
     # -- queries ------------------------------------------------------------
 
@@ -293,26 +290,6 @@ class PointCloudScene:
         scored.sort(key=lambda pair: (-pair[0], pair[1].id))
         return [QueryResult(inst.id, sim, self.points[inst.point_indices].mean(axis=0))
                 for sim, inst in scored]
-
-    def isolate_object(self, instance_id: int,
-                       padding: float) -> tuple[np.ndarray, np.ndarray]:
-        """Split into (object points, nearby environment points).
-
-        Environment points are all non-instance points whose Euclidean
-        distance to the instance's axis-aligned bounding box is at most
-        `padding` (so padding=0 keeps only points inside the box and
-        padding=inf keeps everything).
-        """
-        inst = self.instance(instance_id)
-        object_points = self.points[inst.point_indices]
-        mask = np.ones(len(self.points), dtype=bool)
-        mask[inst.point_indices] = False
-        others = self.points[mask]
-        lo = object_points.min(axis=0)
-        hi = object_points.max(axis=0)
-        gap = np.maximum(np.maximum(lo - others, others - hi), 0.0)
-        near = np.einsum("ij,ij->i", gap, gap) <= padding * padding
-        return object_points, others[near]
 
     def distance_to_obstacles(self, p: np.ndarray,
                               exclude_instance: int | None = None,

@@ -10,39 +10,35 @@ Randomness derives from one root seed through a documented split: batch
 index i yields a scene seed (i, 0) and an episode seed (i, 1); inside a
 search episode, view renders, detections, plane fits, and the refinement
 look each take fixed sub-streams of the episode seed. Rerunning with the
-same configuration and seed reproduces reports byte for byte (wall-clock
-timings are kept in memory only, off the serialized record).
+same configuration and seed reproduces reports byte for byte.
+
+Grasp filtering, body placement and selection, and the drawer perception
+loop run through ``graspnav.pipeline``, the same code as the command line.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..codec import JsonCodec
-from ..drawer import (DetectionFrame, DrawerConfig, fuse_views,
-                      match_handles_to_drawers, plan_pull, refine_target,
-                      view_target)
-from ..errors import (ConfigError, DegenerateInputError, InvalidAxisError,
-                      MissingDepthError, NoPlaneFoundError)
+from ..drawer import DetectionFrame, DrawerConfig, plan_pull, refine_target
+from ..errors import ConfigError, InvalidAxisError, StageError
 from ..geometry import CameraIntrinsics, Pose, farthest_point_sample, look_at
-from ..grasp import (GraspCandidate, GraspConfig, filter_grasps,
-                     merge_rotation_sweeps, sweep_pose, sweep_rotations,
-                     top_k_by_score)
-from ..nav import NavConfig, sample_positions, validate_candidates
-from ..optimizer import OptimizerWeights, select_best
+from ..grasp import (GraspCandidate, GraspConfig, merge_rotation_sweeps,
+                     sweep_pose, sweep_rotations, top_k_by_score)
+from ..nav import NavConfig
+from ..optimizer import OptimizerWeights
+from ..pipeline import STAGE_ERRORS, STAGES, perceive_drawers, plan_grasp
 from ..scene import PointCloudScene
 from .detector import detect_boxes
 from .noise import NoiseModel
 from .render import add_depth_noise, render_depth, trace_depth
 from .scenegen import (PlacedObject, SceneSpec, SyntheticScene,
                        default_grasp_spec, default_search_spec, generate_scene)
-
-STAGES = ("localization", "detection", "navigation", "manipulation")
 
 GRASP_TASK = "grasp"
 SEARCH_TASK = "search"
@@ -134,7 +130,6 @@ class EpisodeReport:
     stages: list[StageOutcome]
     success: bool
     details: dict
-    timings_ms: dict = field(default_factory=dict)
 
     def failure_stage(self) -> str | None:
         for stage in self.stages:
@@ -143,7 +138,6 @@ class EpisodeReport:
         return None
 
     def to_json_dict(self) -> dict:
-        # timings are wall-clock and would break byte determinism
         return {"task": self.task, "index": self.index, "seed": self.seed,
                 "query": self.query, "tier": self.tier,
                 "stages": [s.to_dict() for s in self.stages],
@@ -153,31 +147,15 @@ class EpisodeReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
-class _StageClock:
-    """Tracks per-stage outcomes and wall time for one episode."""
-
-    def __init__(self):
-        self.stages = [StageOutcome(name) for name in STAGES]
-        self.timings_ms: dict[str, float] = {}
-        self._t0 = time.perf_counter()
-        self._idx = 0
-
-    def _tick(self, name: str) -> None:
-        now = time.perf_counter()
-        self.timings_ms[name] = (now - self._t0) * 1000.0
-        self._t0 = now
-
-    def passed(self) -> None:
-        stage = self.stages[self._idx]
-        stage.status = "pass"
-        self._tick(stage.name)
-        self._idx += 1
-
-    def failed(self, reason: str) -> None:
-        stage = self.stages[self._idx]
-        stage.status = "fail"
-        stage.reason = reason
-        self._tick(stage.name)
+def _stages(failed: str | None, reason: str | None) -> list[StageOutcome]:
+    """Stages before `failed` pass, `failed` fails with `reason`, and later
+    ones are not reached; every stage passes when `failed` is None."""
+    if failed is None:
+        return [StageOutcome(name, "pass") for name in STAGES]
+    at = STAGES.index(failed)
+    return ([StageOutcome(name, "pass") for name in STAGES[:at]]
+            + [StageOutcome(failed, "fail", reason)]
+            + [StageOutcome(name) for name in STAGES[at + 1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +228,15 @@ def run_grasp_episode(synth: SyntheticScene, target: PlacedObject,
     grasp_cfg = grasp_cfg or GraspConfig()
     weights = weights or OptimizerWeights()
     scene = synth.scene
-    clock = _StageClock()
     details: dict = {}
     rng = np.random.default_rng(seed)
 
-    def report(success: bool) -> EpisodeReport:
+    def report(failed: str | None = None,
+               reason: str | None = None) -> EpisodeReport:
         return EpisodeReport(task=GRASP_TASK, index=index, seed=seed,
                              query=target.label, tier=target.tier,
-                             stages=clock.stages, success=success,
-                             details=details, timings_ms=clock.timings_ms)
+                             stages=_stages(failed, reason),
+                             success=failed is None, details=details)
 
     # localization: embedding query must rank the target instance first
     code = synth.label_codes[target.label]
@@ -266,52 +244,29 @@ def run_grasp_episode(synth: SyntheticScene, target: PlacedObject,
     top = results[0]
     details["similarity"] = float(top.similarity)
     if top.instance_id != target.instance_id:
-        clock.failed("wrong-instance")
-        return report(False)
+        return report("localization", "wrong-instance")
     if top.similarity < grasp_cfg.min_similarity:
-        clock.failed("low-similarity")
-        return report(False)
-    clock.passed()
+        return report("localization", "low-similarity")
 
-    # detection: noisy sweep proposals filtered onto the object
+    # detection and navigation: noisy sweep proposals filtered onto the
+    # object, ring placements validated, then the joint selection
     merged = _propose_grasps(target, scene, grasp_cfg, sim, noise, rng)
     details["proposals"] = len(merged)
-    if not merged:
-        clock.failed("no-proposals")
-        return report(False)
-    object_points = scene.instance_points(target.instance_id)
-    kept = filter_grasps(merged, object_points, grasp_cfg.on_object_tol)
-    details["on_object"] = len(kept)
-    if not kept:
-        clock.failed("no-grasp-on-object")
-        return report(False)
-    clock.passed()
+    try:
+        plan = plan_grasp(scene, target.instance_id, merged, grasp_cfg, nav,
+                          weights, counts=details)
+    except StageError as exc:
+        return report(STAGE_ERRORS[type(exc)][0], exc.reason)
 
-    # navigation: ring placements validated against the scene
-    centroid = scene.centroid_of(target.instance_id)
-    candidates = sample_positions(centroid, nav)
-    validated = validate_candidates(candidates, scene, target.instance_id, nav)
-    valid = [c for c in validated if c.valid]
-    details["body_candidates"] = len(validated)
-    details["valid_bodies"] = len(valid)
-    if not valid:
-        clock.failed("no-valid-pose")
-        return report(False)
-    clock.passed()
-
-    # manipulation: joint selection, then execution against ground truth
-    selection = select_best(kept, valid, centroid, weights)
-    chosen = kept[selection.grasp_index]
+    # manipulation: execute the selected grasp against ground truth
     truth_centers = np.stack([g.center for g in target.truth_grasps])
-    errs = np.linalg.norm(truth_centers - chosen.center[None, :], axis=1)
+    errs = np.linalg.norm(truth_centers - plan.grasp.center[None, :], axis=1)
     grasp_error = float(errs.min())
-    details["selected_score"] = float(selection.s)
+    details["selected_score"] = float(plan.selection.s)
     details["grasp_error"] = grasp_error
     if grasp_error > sim.grasp_success_tol:
-        clock.failed("grasp-off-target")
-        return report(False)
-    clock.passed()
-    return report(True)
+        return report("manipulation", "grasp-off-target")
+    return report()
 
 
 # ---------------------------------------------------------------------------
@@ -353,71 +308,55 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
         raise ValueError("search episodes need a scene with a cabinet")
     cabinet = synth.cabinet
     scene = synth.scene
-    clock = _StageClock()
     details: dict = {}
     intr = sim.intrinsics
 
-    def report(success: bool) -> EpisodeReport:
+    def report(failed: str | None = None,
+               reason: str | None = None) -> EpisodeReport:
         return EpisodeReport(task=SEARCH_TASK, index=index, seed=seed,
-                             query="cabinet", tier=None, stages=clock.stages,
-                             success=success, details=details,
-                             timings_ms=clock.timings_ms)
+                             query="cabinet", tier=None,
+                             stages=_stages(failed, reason),
+                             success=failed is None, details=details)
 
     # localization: the cabinet instance must rank first for its label code
     results = scene.query_instance(synth.label_codes["cabinet"])
     top = results[0]
     details["similarity"] = float(top.similarity)
     if top.instance_id != cabinet.instance_id:
-        clock.failed("wrong-instance")
-        return report(False)
-    clock.passed()
+        return report("localization", "wrong-instance")
 
     # detection: render and detect from arc views, lift, and fuse
-    targets = []
-    views_with_targets = 0
-    for view_i, cam_pose in enumerate(_view_poses(synth, sim, nav.camera_height)):
-        depth = render_depth(synth.primitives, intr, cam_pose, noise,
-                             seed=derive_seed(seed, 10, view_i))
-        dets = detect_boxes(cabinet, intr, cam_pose, noise,
-                            seed=derive_seed(seed, 20, view_i))
-        frame = DetectionFrame(intrinsics=intr, cam_pose=cam_pose, depth=depth,
-                               detections=dets)
-        pairs = match_handles_to_drawers(frame.handles, frame.drawers,
-                                         kappa=drawer_cfg.kappa,
-                                         ioa_min=drawer_cfg.ioa_min)
-        added = 0
-        for pair_i, pair in enumerate(pairs):
-            try:
-                vt = view_target(pair, frame, drawer_cfg.ransac,
-                                 seed=derive_seed(seed, 30, view_i, pair_i))
-            except (MissingDepthError, DegenerateInputError, NoPlaneFoundError):
-                continue
-            targets.append(vt)
-            added += 1
-        views_with_targets += 1 if added else 0
-    details["view_targets"] = len(targets)
-    details["views_with_targets"] = views_with_targets
-    if not targets:
-        clock.failed("no-detections")
-        return report(False)
-    fused = fuse_views(targets, drawer_cfg.cluster_radius)
+    def views():
+        for view_i, cam_pose in enumerate(
+                _view_poses(synth, sim, nav.camera_height)):
+            depth = render_depth(synth.primitives, intr, cam_pose, noise,
+                                 seed=derive_seed(seed, 10, view_i))
+            dets = detect_boxes(cabinet, intr, cam_pose, noise,
+                                seed=derive_seed(seed, 20, view_i))
+            yield DetectionFrame(intrinsics=intr, cam_pose=cam_pose,
+                                 depth=depth, detections=dets)
+
+    fused, per_view = perceive_drawers(
+        views(), drawer_cfg,
+        lambda view_i, pair_i: derive_seed(seed, 30, view_i, pair_i))
+    details["view_targets"] = sum(v["lifted"] for v in per_view)
+    details["views_with_targets"] = sum(1 for v in per_view if v["lifted"])
+    if not fused:
+        return report("detection", "no-detections")
     details["fused_targets"] = len(fused)
     true_center = cabinet.handle_centers[cabinet.item_drawer_index]
     dists = [float(np.linalg.norm(t.handle_center - true_center)) for t in fused]
     best = int(np.argmin(dists))
     details["association_error"] = dists[best]
     if dists[best] > drawer_cfg.gate_radius:
-        clock.failed("target-drawer-not-found")
-        return report(False)
+        return report("detection", "target-drawer-not-found")
     estimate = fused[best]
-    clock.passed()
 
     # navigation: stand on the pull axis, inside bounds, clear of obstacles
     try:
         plan = plan_pull(estimate, drawer_cfg.standoff, drawer_cfg.pull_distance)
     except InvalidAxisError:
-        clock.failed("axis-unpullable")
-        return report(False)
+        return report("navigation", "axis-unpullable")
     body_xy = plan.body_pose.translation[:2]
     lo, hi = scene.bounds
     details["body_position"] = [float(body_xy[0]), float(body_xy[1])]
@@ -425,16 +364,13 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
             or body_xy[0] > hi[0] - nav.footprint_radius
             or body_xy[1] < lo[1] + nav.footprint_radius
             or body_xy[1] > hi[1] - nav.footprint_radius):
-        clock.failed("body-out-of-scene")
-        return report(False)
+        return report("navigation", "body-out-of-scene")
     standing = np.array([body_xy[0], body_xy[1], nav.standing_height])
     clearance = scene.distance_to_obstacles(standing, None,
                                             min_z=float(lo[2]) + nav.floor_slab)
     details["body_clearance"] = float(clearance)
     if clearance < nav.footprint_radius:
-        clock.failed("body-collides")
-        return report(False)
-    clock.passed()
+        return report("navigation", "body-collides")
 
     # manipulation: close-range looks refine the estimate, then tolerance
     # check vs truth; the body is stationary, so looks average out noise
@@ -475,10 +411,8 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
     details["handle_error"] = handle_error
     details["axis_error_deg"] = axis_error
     if handle_error > sim.handle_tol or axis_error > sim.axis_tol_deg:
-        clock.failed("tolerance-exceeded")
-        return report(False)
-    clock.passed()
-    return report(True)
+        return report("manipulation", "tolerance-exceeded")
+    return report()
 
 
 # ---------------------------------------------------------------------------

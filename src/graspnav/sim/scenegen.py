@@ -176,12 +176,6 @@ class SyntheticScene:
             prims.extend(self.cabinet.handles)
         return prims
 
-    def object_by_label(self, label: str) -> PlacedObject:
-        for obj in self.objects:
-            if obj.label == label:
-                return obj
-        raise KeyError(f"no object labeled {label!r}")
-
 
 # ---------------------------------------------------------------------------
 # Ground-truth grasps

@@ -347,6 +347,13 @@ def _batch_with(**candidate):
     return {"rotation": _IDENTITY, "candidates": [{**_CANDIDATE, **candidate}]}
 
 
+# a detection frame that is valid up to its (absent) depth file
+_FRAME = {"intrinsics": {"fx": 10.0, "fy": 10.0, "cx": 3.5, "cy": 3.5,
+                         "width": 8, "height": 8},
+          "cam_pose": [1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0],
+          "depth_file": "frame.depth.bin", "detections": []}
+
+
 # (input file, its JSON document, text the error message must contain)
 BOUNDARY_PROBES = [
     ("config", {"nav": {"footprint_radius": "0.3"}}, "nav.footprint_radius"),
@@ -378,6 +385,16 @@ BOUNDARY_PROBES = [
     ("instances", {"embedding_dim": 2.7, "instances": []}, "embedding_dim"),
     ("instances", {"embedding_dim": _NAN, "instances": []}, "embedding_dim"),
     ("instances", {"embedding_dim": [1], "instances": []}, "embedding_dim"),
+    ("frames", 5, "expected a JSON object"),
+    ("frames", {**_FRAME, "detections": 5}, "detections must be a list"),
+    ("frames", {**_FRAME, "depth_file": 5}, "depth_file must be"),
+    ("query", [{"a": 1}, 2], "flat JSON list of numbers"),
+    ("query", [False, True, False], "flat JSON list of numbers"),
+    ("query", ["0", "1", "0"], "flat JSON list of numbers"),
+    ("query", [[0.0, 1.0, 0.0]], "flat JSON list of numbers"),
+    ("query", {"embedding": [[0.0], [1.0], [0.0]]}, "flat JSON list of numbers"),
+    ("query", [10 ** 400, 0, 0], "flat JSON list of numbers"),
+    ("query", {"embedding": []}, "flat JSON list of numbers"),
 ]
 
 
@@ -395,12 +412,15 @@ class TestBoundaryProbes:
         if kind in ("config", "spec"):
             argv = ["simulate", "--task", "search", "--episodes", "1",
                     f"--{kind}", str(path), "--out", str(out)]
+        elif kind == "frames":
+            argv = ["match-drawers", "--frames", str(path), "--out", str(out)]
         else:
             inputs = {"instances": workdir / "instances.json",
+                      "query": workdir / "query_crate.json",
                       "grasps": workdir / "batch.json", kind: path}
             argv = ["plan-grasp", "--scene", str(workdir / "scene.ply"),
                     "--instances", str(inputs["instances"]),
-                    "--query", str(workdir / "query_crate.json"),
+                    "--query", str(inputs["query"]),
                     "--grasps", str(inputs["grasps"]), "--out", str(out)]
         assert main(argv) == EXIT_PARSE
         err = capsys.readouterr().err

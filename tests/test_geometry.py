@@ -453,8 +453,3 @@ class TestValueTypes:
     def test_plane_requires_unit_normal(self):
         with pytest.raises(ValueError):
             Plane(normal=np.array([0.0, 0.0, 2.0]), offset=0.0)
-
-    def test_plane_signed_distance(self):
-        plane = Plane(normal=np.array([0.0, 0.0, 1.0]), offset=1.0)
-        d = plane.signed_distance(np.array([[0.0, 0.0, 1.5], [0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(d, [0.5, -1.0], atol=1e-15)

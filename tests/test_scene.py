@@ -14,7 +14,6 @@ import pytest
 from graspnav.errors import (
     EmptySceneError,
     FileFormatError,
-    InstanceNotFoundError,
     UnsupportedQueryError,
 )
 from graspnav.scene import (
@@ -313,62 +312,6 @@ class TestQueryInstance:
                 key=lambda t: (-t[0], t[1]))
             assert got == [(i, s) for s, i in want]
             assert all(-1.0 - 1e-12 <= s <= 1.0 + 1e-12 for _, s in got)
-
-
-class TestIsolateObject:
-    def _two_object_scene(self):
-        rng = np.random.default_rng(8)
-        cluster_a = rng.uniform(-0.1, 0.1, size=(30, 3))
-        cluster_b = rng.uniform(-0.1, 0.1, size=(30, 3)) + np.array([2.0, 0.0, 0.0])
-        scatter = rng.uniform(-3, 3, size=(60, 3))
-        pts = np.vstack([cluster_a, cluster_b, scatter])
-        return make_scene(pts, [
-            (0, "a", list(range(30)), None),
-            (1, "b", list(range(30, 60)), None),
-        ])
-
-    def test_infinite_padding_keeps_everything(self):
-        scene = self._two_object_scene()
-        obj, env = scene.isolate_object(0, padding=np.inf)
-        assert len(obj) == 30
-        assert len(env) == len(scene.points) - 30
-
-    def test_zero_padding_restricts_to_bbox(self):
-        scene = self._two_object_scene()
-        obj, env = scene.isolate_object(0, padding=0.0)
-        lo, hi = obj.min(axis=0), obj.max(axis=0)
-        assert np.all(env >= lo - 1e-12) and np.all(env <= hi + 1e-12)
-
-    def test_matches_brute_force_distance_filter(self):
-        scene = self._two_object_scene()
-        padding = 0.5
-        obj, env = scene.isolate_object(1, padding=padding)
-        lo, hi = obj.min(axis=0), obj.max(axis=0)
-        inst = scene.instance(1)
-        expected = []
-        for idx, p in enumerate(scene.points):
-            if idx in set(inst.point_indices.tolist()):
-                continue
-            gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
-            if np.linalg.norm(gap) <= padding:
-                expected.append(p)
-        expected = np.asarray(expected).reshape(-1, 3)
-        assert len(env) == len(expected)
-        np.testing.assert_allclose(np.sort(env, axis=0), np.sort(expected, axis=0))
-
-    def test_partition_disjoint(self):
-        scene = self._two_object_scene()
-        obj, env = scene.isolate_object(0, padding=np.inf)
-        all_rows = {tuple(p) for p in scene.points}
-        obj_rows = {tuple(p) for p in obj}
-        env_rows = {tuple(p) for p in env}
-        assert obj_rows.isdisjoint(env_rows)
-        assert obj_rows | env_rows == all_rows
-
-    def test_unknown_instance(self):
-        scene = self._two_object_scene()
-        with pytest.raises(InstanceNotFoundError):
-            scene.isolate_object(99, padding=0.1)
 
 
 class TestDistanceToObstacles:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from graspnav.config import RunConfig
 from graspnav.errors import ConfigError, GenerationError
 from graspnav.geometry import Pose, look_at, project_many, rotation_about_z
 from graspnav.sim import (Box, CabinetSpec, Cylinder, NoiseModel, ObjectSpec,
@@ -631,7 +632,6 @@ class TestGraspEpisode:
         synth = generate_scene(default_grasp_spec(), seed=4)
         rep = run_grasp_episode(synth, synth.objects[0], seed=9,
                                 noise=NoiseModel.noiseless())
-        assert rep.timings_ms  # measured in memory
         payload = json.loads(rep.to_json_line())
         assert "timings_ms" not in payload
         assert payload["task"] == "grasp"
@@ -659,6 +659,45 @@ class TestSearchEpisode:
         synth = generate_scene(default_grasp_spec(), seed=0)
         with pytest.raises(ValueError):
             run_search_episode(synth, seed=0)
+
+
+# Each episode failure a config can reach, at reference noise: the stage
+# that fails, its reason, and the pass / not-reached status around it.
+@pytest.mark.parametrize("task, overrides, stage, reason", [
+    ("grasp", {"grasp": {"on_object_tol": 1e-6}}, "detection",
+     "no-grasp-on-object"),
+    ("grasp", {"nav": {"footprint_radius": 100.0}}, "navigation",
+     "no-valid-pose"),
+    ("grasp", {"sim": {"grasp_success_tol": 1e-9}}, "manipulation",
+     "grasp-off-target"),
+    ("search", {"drawer": {"gate_radius": 1e-6}}, "detection",
+     "target-drawer-not-found"),
+    ("search", {"drawer": {"standoff": 50.0}}, "navigation",
+     "body-out-of-scene"),
+    ("search", {"drawer": {"standoff": 0.05}}, "navigation", "body-collides"),
+    ("search", {"sim": {"handle_tol": 1e-9}}, "manipulation",
+     "tolerance-exceeded"),
+])
+def test_episode_failure_stage_and_reason(task, overrides, stage, reason):
+    config = RunConfig.from_dict(overrides)
+    if task == "grasp":
+        synth = generate_scene(default_grasp_spec(), seed=4)
+        rep = run_grasp_episode(synth, synth.objects[0], seed=9,
+                                sim=config.sim, noise=config.noise,
+                                nav=config.nav, grasp_cfg=config.grasp,
+                                weights=config.optimizer)
+    else:
+        synth = generate_scene(default_search_spec(), seed=3)
+        rep = run_search_episode(synth, seed=7, sim=config.sim,
+                                 noise=config.noise, nav=config.nav,
+                                 drawer_cfg=config.drawer)
+    assert not rep.success
+    assert rep.failure_stage() == stage
+    failed = STAGES.index(stage)
+    expected = ([(name, "pass", None) for name in STAGES[:failed]]
+                + [(stage, "fail", reason)]
+                + [(name, "not-reached", None) for name in STAGES[failed + 1:]])
+    assert [(s.name, s.status, s.reason) for s in rep.stages] == expected
 
 
 class TestBatchesAndSummary:
