@@ -49,14 +49,16 @@ exit codes:
 """
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--frames", required=True, nargs="+",
                    help="detection frame JSON files")
     m.add_argument("--config", help="run config JSON")
-    m.add_argument("--seed", type=int, default=0,
-                   help="root seed; per-frame plane fits use"
-                        " derive_seed(seed, frame_index, pair_index)")
+    m.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="root seed, an integer >= 0 (default 0); per-frame"
+                        " plane fits use derive_seed(seed, frame_index,"
+                        " pair_index)")
     m.add_argument("--out", help="report path (stdout when omitted)")
     m.set_defaults(func=cmd_match_drawers)
 
@@ -292,13 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     s.add_argument("--task", required=True, choices=("grasp", "search"),
                    help="which episode type to run")
-    s.add_argument("--episodes", type=_positive_int, default=200,
+    s.add_argument("--episodes", type=_int_at_least(1), default=200,
                    help="number of episodes (default 200)")
     s.add_argument("--spec", help="scene spec JSON (built-in default per task)")
     s.add_argument("--config", help="run config JSON")
-    s.add_argument("--seed", type=int, default=0,
-                   help="root seed; episode i uses derive_seed(seed, i, 0)"
-                        " for the scene and derive_seed(seed, i, 1) inside")
+    s.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="root seed, an integer >= 0 (default 0); episode i"
+                        " uses derive_seed(seed, i, 0) for the scene and"
+                        " derive_seed(seed, i, 1) inside")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(func=cmd_simulate)
     return parser

@@ -77,7 +77,7 @@ def _decode_object(cls, d, path: str):
     for name, f in fields.items():
         key = f"{path}.{name}" if path else name
         if name in d:
-            kwargs[name] = _decode(hints[name], d[name], key)
+            kwargs[name] = decode_value(hints[name], d[name], key)
         elif (f.default is dataclasses.MISSING
               and f.default_factory is dataclasses.MISSING):
             raise _error(key, "missing required key")
@@ -87,13 +87,14 @@ def _decode_object(cls, d, path: str):
         raise _error(path, str(exc)) from exc
 
 
-def _decode(hint, value, path: str):
+def decode_value(hint, value, path: str):
+    """Check one JSON value against a type hint, as the fields are checked."""
     if isinstance(hint, type) and issubclass(hint, JsonCodec):
         return _decode_object(hint, value, path)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is types.UnionType:      # X | None
         (inner,) = [a for a in args if a is not type(None)]
-        return None if value is None else _decode(inner, value, path)
+        return None if value is None else decode_value(inner, value, path)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise _error(path, f"expected a list, got {value!r}")
@@ -101,7 +102,7 @@ def _decode(hint, value, path: str):
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise _error(path, f"expected {len(args)} values, got {len(value)}")
-        return tuple(_decode(a, v, f"{path}[{i}]")
+        return tuple(decode_value(a, v, f"{path}[{i}]")
                      for i, (a, v) in enumerate(zip(args, value)))
     if not isinstance(value, bool):
         if hint is float and isinstance(value, (int, float)):

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .codec import JsonCodec
+from .codec import JsonCodec, decode_value
 from .errors import (ConfigError, DegenerateBBoxError, DegenerateInputError,
                      FileFormatError, GraspNavError, InvalidAxisError,
                      MissingDepthError, NoPlaneFoundError)
@@ -436,7 +436,9 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
     """Read a detection frame: JSON metadata plus a raw float32 depth file.
 
     The depth file path is resolved relative to the JSON file. Depth is
-    row-major little-endian float32, one value per pixel, 0 where invalid.
+    row-major little-endian float32, one value per pixel, 0 where invalid;
+    every value must be finite. `cam_pose`, `bbox` and `confidence` take
+    finite JSON numbers only, as run-config number fields do.
     """
     path = Path(path)
     try:
@@ -456,11 +458,11 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
         intrinsics = CameraIntrinsics.from_dict(raw["intrinsics"])
     except ConfigError as exc:
         raise _frame_error(path, f"bad intrinsics: {exc}") from exc
-    pose_values = raw["cam_pose"]
-    if not isinstance(pose_values, list) or len(pose_values) != 16:
-        raise _frame_error(path, "cam_pose must be 16 row-major floats")
     try:
-        cam_pose = Pose.from_matrix(np.array(pose_values, dtype=np.float64).reshape(4, 4))
+        pose_values = decode_value(tuple[float, ...], raw["cam_pose"], "cam_pose")
+        if len(pose_values) != 16:
+            raise ValueError(f"expected 16 row-major values, got {len(pose_values)}")
+        cam_pose = Pose.from_matrix(np.array(pose_values).reshape(4, 4))
     except (ValueError, GraspNavError) as exc:
         raise _frame_error(path, f"bad cam_pose: {exc}") from exc
     depth_path = path.parent / raw["depth_file"]
@@ -471,16 +473,21 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
     if depth.size != expected:
         raise _frame_error(
             path, f"depth file has {depth.size} values, expected {expected}")
+    if not np.all(np.isfinite(depth)):
+        raise _frame_error(
+            path, f"depth file {raw['depth_file']} contains non-finite values")
     if np.any(depth < 0):
         raise _frame_error(path, "depth file contains negative values")
     depth = depth.reshape(intrinsics.height, intrinsics.width)
     detections = []
     for i, entry in enumerate(raw["detections"]):
         try:
-            bbox = BBox2D(*[float(x) for x in entry["bbox"]])
+            bbox = BBox2D(*decode_value(tuple[float, float, float, float],
+                                        entry["bbox"], "bbox"))
             det = Detection2D(class_label=entry["class"], bbox=bbox,
-                              confidence=float(entry["confidence"]))
-        except (KeyError, TypeError, ValueError) as exc:
+                              confidence=decode_value(float, entry["confidence"],
+                                                      "confidence"))
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise _frame_error(path, f"detection {i}: {exc}") from exc
         detections.append(det)
     return DetectionFrame(intrinsics=intrinsics, cam_pose=cam_pose,

@@ -62,7 +62,6 @@ class GraspConfig(JsonCodec):
     on_object_tol: float = DEFAULT_ON_OBJECT_TOL
     top_k: int = DEFAULT_TOP_K          # per sweep batch, by score
     sweep_count: int = DEFAULT_SWEEP_COUNT
-    isolate_padding: float = 0.5
     min_similarity: float = 0.5         # localization acceptance threshold
 
     def __post_init__(self):
@@ -72,9 +71,6 @@ class GraspConfig(JsonCodec):
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.sweep_count < 1:
             raise ConfigError(f"sweep_count must be >= 1, got {self.sweep_count}")
-        if self.isolate_padding < 0:
-            raise ConfigError(
-                f"isolate_padding must be >= 0, got {self.isolate_padding}")
         if not 0.0 <= self.min_similarity <= 1.0:
             raise ConfigError(
                 f"min_similarity must be in [0, 1], got {self.min_similarity}")

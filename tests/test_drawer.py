@@ -536,6 +536,39 @@ class TestFrameIO:
         with pytest.raises(FileFormatError, match="detection 0"):
             load_detection_frame(path)
 
+    @pytest.mark.parametrize("key, index, value, needle", [
+        ("bbox", 0, "28", r"detection 0: bbox\[0\]"),
+        ("bbox", 3, True, r"detection 0: bbox\[3\]"),
+        ("bbox", 2, float("nan"), r"detection 0: bbox\[2\]"),
+        ("confidence", None, True, "detection 0: confidence"),
+        ("confidence", None, "0.75", "detection 0: confidence"),
+        ("cam_pose", 3, "0.5", r"cam_pose\[3\]"),
+        ("cam_pose", 15, True, r"cam_pose\[15\]"),
+    ])
+    def test_numbers_must_be_json_numbers(self, tmp_path, key, index, value,
+                                          needle):
+        path = tmp_path / "frame.json"
+        write_detection_frame(path, self.sample_frame())
+        doc = json.loads(path.read_text())
+        holder = doc if key == "cam_pose" else doc["detections"][0]
+        if index is None:
+            holder[key] = value
+        else:
+            holder[key][index] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=needle):
+            load_detection_frame(path)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_depth_names_the_depth_file(self, tmp_path, bad):
+        frame = self.sample_frame()
+        frame.depth[5, 7] = bad
+        path = tmp_path / "frame.json"
+        write_detection_frame(path, frame)
+        with pytest.raises(FileFormatError,
+                           match="depth file frame.depth.bin contains non-finite"):
+            load_detection_frame(path)
+
 
 class TestDrawerConfig:
     def test_defaults(self):

@@ -308,6 +308,137 @@ def _tilt(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def _hypotheses(pts: np.ndarray, iterations: int, seed: int):
+    """The seeded triplet planes ransac_plane scores: normals, offsets, valid."""
+    triplets = np.random.default_rng(seed).integers(0, len(pts), size=(iterations, 3))
+    a = pts[triplets[:, 0]]
+    normals = np.cross(pts[triplets[:, 1]] - a, pts[triplets[:, 2]] - a)
+    lengths = np.linalg.norm(normals, axis=1)
+    valid = lengths > 1e-12
+    normals[valid] /= lengths[valid, None]
+    return normals, np.einsum("ij,ij->i", normals, a), valid
+
+
+def ransac_reference(pts: np.ndarray, params: RansacParams, seed: int):
+    """The plane fit before early stopping: every hypothesis is scored, in
+    blocks of 256, then the winner is refit. Returns (normal, offset, count)."""
+    normals, offsets, valid = _hypotheses(pts, params.iterations, seed)
+    best_count = -1
+    best_iter = -1
+    for lo in range(0, params.iterations, 256):
+        hi = min(lo + 256, params.iterations)
+        block = valid[lo:hi]
+        if not np.any(block):
+            continue
+        dist = np.abs(pts @ normals[lo:hi].T - offsets[lo:hi])
+        counts = np.count_nonzero(dist <= params.threshold, axis=0)
+        counts[~block] = -1
+        k = int(np.argmax(counts))
+        if counts[k] > best_count:
+            best_count = int(counts[k])
+            best_iter = lo + k
+    inliers = np.abs(pts @ normals[best_iter] - offsets[best_iter]) <= params.threshold
+    centroid = pts[inliers].mean(axis=0)
+    _, _, vt = np.linalg.svd(pts[inliers] - centroid, full_matrices=False)
+    normal = vt[-1] / np.linalg.norm(vt[-1])
+    offset = float(normal @ centroid)
+    return normal, offset, int(np.count_nonzero(np.abs(pts @ normal - offset)
+                                                <= params.threshold))
+
+
+def predicted_stop(pts: np.ndarray, params: RansacParams, seed: int):
+    """(end, k): hypotheses drawn up to the end of the 16-block in which the
+    Fischler-Bolles bound 1 - (1 - w^3)^k >= confidence first holds, and
+    the non-degenerate ones among them."""
+    normals, offsets, valid = _hypotheses(pts, params.iterations, seed)
+    counts = np.count_nonzero(np.abs(pts @ normals.T - offsets) <= params.threshold,
+                              axis=0)
+    best, k = 0, 0
+    for lo in range(0, params.iterations, 16):
+        in_block = valid[lo:lo + 16]
+        if in_block.any():
+            best = max(best, int(counts[lo:lo + 16][in_block].max()))
+            k += int(in_block.sum())
+            if 1.0 - (1.0 - (best / len(pts)) ** 3) ** k >= params.confidence:
+                return min(lo + 16, params.iterations), k
+    return params.iterations, k
+
+
+def _plane_cloud(seed: int, n: int, inlier_share: float, sigma: float = 0.002):
+    """A tilted noisy plane patch plus uniform outliers, shuffled."""
+    rng = np.random.default_rng(seed)
+    n_in = int(round(inlier_share * n))
+    patch = np.stack([rng.uniform(-0.3, 0.3, n_in), rng.uniform(-0.3, 0.3, n_in),
+                      rng.normal(0.0, sigma, n_in)], axis=1)
+    rot = random_rotation(rng)
+    outliers = rng.uniform(-0.5, 0.5, size=(n - n_in, 3))
+    return rng.permutation(np.vstack([patch @ rot.T, outliers]))
+
+
+# (cloud seed, points, inlier share): planar-plus-outlier clouds, then
+# clouds at w > 0.95, where (1 - w^3)^k underflows within a few hundred draws
+_CLOUDS = ([(s, 60 + 37 * s, 0.35 + 0.05 * s) for s in range(12)]
+           + [(100 + s, 300 + 50 * s, 0.96 + 0.01 * (s % 4)) for s in range(4)])
+
+
+class TestRansacEarlyStop:
+    @pytest.mark.parametrize("seed, n, share", _CLOUDS)
+    def test_full_confidence_matches_full_scoring_bit_for_bit(self, seed, n, share):
+        pts = _plane_cloud(seed, n, share)
+        for iterations in (1000, 200):
+            params = RansacParams(threshold=0.005, iterations=iterations,
+                                  min_inlier_fraction=0.0, confidence=1.0)
+            plane = ransac_plane(pts, params, seed=seed)
+            normal, offset, count = ransac_reference(pts, params, seed)
+            assert plane.normal.tobytes() == normal.tobytes()
+            assert plane.offset == offset
+            assert plane.inlier_count == count
+            assert plane.hypotheses == np.count_nonzero(
+                _hypotheses(pts, iterations, seed)[2])
+
+    @pytest.mark.parametrize("seed, n, share", _CLOUDS)
+    def test_stops_at_the_predicted_block(self, seed, n, share):
+        pts = _plane_cloud(seed, n, share)
+        params = RansacParams(threshold=0.005, min_inlier_fraction=0.0)
+        end, k = predicted_stop(pts, params, seed)
+        assert end % 16 == 0 and end < params.iterations
+        plane = ransac_plane(pts, params, seed=seed)
+        assert plane.hypotheses == k
+        truncated = ransac_plane(
+            pts, RansacParams(threshold=0.005, iterations=end,
+                              min_inlier_fraction=0.0, confidence=1.0), seed=seed)
+        assert plane.normal.tobytes() == truncated.normal.tobytes()
+        assert plane.offset == truncated.offset
+        assert plane.inlier_count == truncated.inlier_count
+
+    def test_stopping_changes_some_winners(self):
+        # guards the test above: scoring on past the predicted block would be seen
+        changed = 0
+        for seed, n, share in _CLOUDS:
+            pts = _plane_cloud(seed, n, share)
+            params = RansacParams(threshold=0.005, min_inlier_fraction=0.0)
+            stopped = ransac_plane(pts, params, seed=seed)
+            full = ransac_plane(pts, RansacParams(threshold=0.005, min_inlier_fraction=0.0,
+                                                  confidence=1.0), seed=seed)
+            changed += stopped.normal.tobytes() != full.normal.tobytes()
+        assert changed >= len(_CLOUDS) // 2
+
+    def test_drawer_front_shares_stop_within_64_hypotheses(self):
+        # w = 0.48 needs k >= ln(0.001) / ln(1 - 0.48^3) = 59 valid draws
+        for seed in range(5):
+            pts = _plane_cloud(seed, 850, 0.48, sigma=0.0005)
+            assert predicted_stop(pts, RansacParams(), seed)[0] <= 64
+
+    @pytest.mark.parametrize("n", [3, 100, 10_007, 2 ** 16, 2 ** 31 - 1])
+    def test_triplet_draws_are_a_stable_prefix(self, n):
+        # a shorter cap draws the same first triplets, so capping
+        # `iterations` at the predicted block end replays the stopped fit
+        for seed in (0, 7, 2 ** 40 + 3):
+            long = np.random.default_rng(seed).integers(0, n, size=(1000, 3))
+            short = np.random.default_rng(seed).integers(0, n, size=(64, 3))
+            np.testing.assert_array_equal(long[:64], short)
+
+
 # ---------------------------------------------------------------------------
 # Farthest point sampling
 # ---------------------------------------------------------------------------
