@@ -34,6 +34,7 @@ ROTATION_TOL = 1e-6
 ZERO_LENGTH_SQ = 1e-24
 
 _RANSAC_CHUNK = 16  # hypothesis planes scored per block between stopping tests
+_RANSAC_CONFIDENCE = 0.999  # Fischler-Bolles confidence at which scoring stops
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -201,13 +202,11 @@ class BBox2D:
 
 @dataclass(frozen=True)
 class Plane:
-    """Plane normal . p = offset with a unit normal; a fitted plane also
-    carries its inlier count and the non-degenerate hypotheses scored."""
+    """Plane normal . p = offset with a unit normal."""
 
     normal: np.ndarray
     offset: float
     inlier_count: int = 0
-    hypotheses: int = 0
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=np.float64).reshape(3)
@@ -219,13 +218,11 @@ class Plane:
 
 @dataclass(frozen=True)
 class RansacParams(JsonCodec):
-    """Tuning for plane search: inlier threshold (m), hypothesis cap, min
-    fraction, and the confidence at which scoring stops (1.0 scores all)."""
+    """Tuning for plane search: inlier threshold (m), hypothesis cap, min fraction."""
 
     threshold: float = 0.005
     iterations: int = 1000
     min_inlier_fraction: float = 0.3
-    confidence: float = 0.999
 
     def __post_init__(self):
         if self.threshold <= 0:
@@ -234,8 +231,6 @@ class RansacParams(JsonCodec):
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 <= self.min_inlier_fraction <= 1.0:
             raise ValueError(f"min_inlier_fraction must be in [0, 1], got {self.min_inlier_fraction}")
-        if not 0.0 < self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in (0, 1], got {self.confidence}")
 
 
 class PointIndex:
@@ -363,11 +358,11 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
     in blocks of `_RANSAC_CHUNK`, keeping the hypothesis with the most
     points within `params.threshold` of it (first hypothesis wins ties).
     Scoring stops after the block in which the Fischler-Bolles bound
-    ``1 - (1 - w**3)**k >= params.confidence`` holds, where `k` counts the
-    non-degenerate hypotheses scored so far and `w` is the best inlier
-    share; `confidence` 1.0 scores every hypothesis. The winner is refit
-    by total least squares on its inliers. The plane reports the refit's
-    inlier count and, as `hypotheses`, that `k`.
+    ``1 - (1 - w**3)**k >= _RANSAC_CONFIDENCE`` holds, where `k` counts
+    the non-degenerate hypotheses scored so far and `w` is the best inlier
+    share; `params.iterations` is only a cap. The winner is refit by total
+    least squares on its inliers, and the plane reports the refit's inlier
+    count.
 
     Raises:
         DegenerateInputError: fewer than 3 points, or all points collinear.
@@ -410,9 +405,7 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
             best_count = int(counts[k])
             best_iter = lo + k
         scored += int(np.count_nonzero(block))
-        # (1 - w**3)**k underflows to 0 for w near 1, so 1.0 needs the guard
-        if (params.confidence < 1.0
-                and 1.0 - (1.0 - (best_count / n) ** 3) ** scored >= params.confidence):
+        if 1.0 - (1.0 - (best_count / n) ** 3) ** scored >= _RANSAC_CONFIDENCE:
             break
 
     inliers = np.abs(pts @ normals[best_iter] - offsets[best_iter]) <= params.threshold
@@ -423,8 +416,7 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
             f"best plane has {final_count}/{n} inliers, below fraction "
             f"{params.min_inlier_fraction}"
         )
-    return Plane(normal=normal, offset=offset, inlier_count=final_count,
-                 hypotheses=scored)
+    return Plane(normal=normal, offset=offset, inlier_count=final_count)
 
 
 # ---------------------------------------------------------------------------

@@ -93,14 +93,6 @@ class TestDecoding:
          "noise.confidence_range: expected 2 values, got 1"),
         ({"sim": {"handle_tol": -math.inf}}, "sim.handle_tol: expected a finite number"),
         ({"warp": 9}, "unknown keys ['warp']"),
-        ({"drawer": {"ransac": {"confidence": 0}}},
-         "drawer.ransac: confidence must be in (0, 1], got 0.0"),
-        ({"drawer": {"ransac": {"confidence": -0.1}}},
-         "drawer.ransac: confidence must be in (0, 1], got -0.1"),
-        ({"drawer": {"ransac": {"confidence": 1.5}}},
-         "drawer.ransac: confidence must be in (0, 1], got 1.5"),
-        ({"drawer": {"ransac": {"confidence": math.nan}}},
-         "drawer.ransac.confidence: expected a finite number"),
         ({"grasp": {"isolate_padding": 0.5}},
          "grasp: unknown keys ['isolate_padding']"),
     ])

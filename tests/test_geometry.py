@@ -347,9 +347,9 @@ def ransac_reference(pts: np.ndarray, params: RansacParams, seed: int):
 
 
 def predicted_stop(pts: np.ndarray, params: RansacParams, seed: int):
-    """(end, k): hypotheses drawn up to the end of the 16-block in which the
-    Fischler-Bolles bound 1 - (1 - w^3)^k >= confidence first holds, and
-    the non-degenerate ones among them."""
+    """Hypotheses drawn up to the end of the 16-block in which the
+    Fischler-Bolles bound 1 - (1 - w^3)^k >= 0.999 first holds (k counts
+    the non-degenerate ones), or `params.iterations` if it never does."""
     normals, offsets, valid = _hypotheses(pts, params.iterations, seed)
     counts = np.count_nonzero(np.abs(pts @ normals.T - offsets) <= params.threshold,
                               axis=0)
@@ -359,9 +359,9 @@ def predicted_stop(pts: np.ndarray, params: RansacParams, seed: int):
         if in_block.any():
             best = max(best, int(counts[lo:lo + 16][in_block].max()))
             k += int(in_block.sum())
-            if 1.0 - (1.0 - (best / len(pts)) ** 3) ** k >= params.confidence:
-                return min(lo + 16, params.iterations), k
-    return params.iterations, k
+            if 1.0 - (1.0 - (best / len(pts)) ** 3) ** k >= 0.999:
+                return min(lo + 16, params.iterations)
+    return params.iterations
 
 
 def _plane_cloud(seed: int, n: int, inlier_share: float, sigma: float = 0.002):
@@ -375,59 +375,76 @@ def _plane_cloud(seed: int, n: int, inlier_share: float, sigma: float = 0.002):
     return rng.permutation(np.vstack([patch @ rot.T, outliers]))
 
 
-# (cloud seed, points, inlier share): planar-plus-outlier clouds, then
-# clouds at w > 0.95, where (1 - w^3)^k underflows within a few hundred draws
+# (cloud seed, points, inlier share): planar-plus-outlier clouds, clouds
+# at w > 0.95, which stop after their first block, and 10-point clouds, in
+# which 28% of the triplets repeat a point and so are degenerate
 _CLOUDS = ([(s, 60 + 37 * s, 0.35 + 0.05 * s) for s in range(12)]
-           + [(100 + s, 300 + 50 * s, 0.96 + 0.01 * (s % 4)) for s in range(4)])
+           + [(100 + s, 300 + 50 * s, 0.96 + 0.01 * (s % 4)) for s in range(4)]
+           + [(s, 10, 0.7) for s in range(12)])
+
+
+def _assert_same_fit(plane: Plane, reference) -> None:
+    normal, offset, count = reference
+    assert plane.normal.tobytes() == normal.tobytes()
+    assert plane.offset == offset
+    assert plane.inlier_count == count
 
 
 class TestRansacEarlyStop:
     @pytest.mark.parametrize("seed, n, share", _CLOUDS)
-    def test_full_confidence_matches_full_scoring_bit_for_bit(self, seed, n, share):
-        pts = _plane_cloud(seed, n, share)
-        for iterations in (1000, 200):
-            params = RansacParams(threshold=0.005, iterations=iterations,
-                                  min_inlier_fraction=0.0, confidence=1.0)
-            plane = ransac_plane(pts, params, seed=seed)
-            normal, offset, count = ransac_reference(pts, params, seed)
-            assert plane.normal.tobytes() == normal.tobytes()
-            assert plane.offset == offset
-            assert plane.inlier_count == count
-            assert plane.hypotheses == np.count_nonzero(
-                _hypotheses(pts, iterations, seed)[2])
-
-    @pytest.mark.parametrize("seed, n, share", _CLOUDS)
     def test_stops_at_the_predicted_block(self, seed, n, share):
+        # bit for bit the full-scoring fit of the hypotheses up to that block
         pts = _plane_cloud(seed, n, share)
         params = RansacParams(threshold=0.005, min_inlier_fraction=0.0)
-        end, k = predicted_stop(pts, params, seed)
+        end = predicted_stop(pts, params, seed)
         assert end % 16 == 0 and end < params.iterations
-        plane = ransac_plane(pts, params, seed=seed)
-        assert plane.hypotheses == k
-        truncated = ransac_plane(
-            pts, RansacParams(threshold=0.005, iterations=end,
-                              min_inlier_fraction=0.0, confidence=1.0), seed=seed)
-        assert plane.normal.tobytes() == truncated.normal.tobytes()
-        assert plane.offset == truncated.offset
-        assert plane.inlier_count == truncated.inlier_count
+        capped = RansacParams(threshold=0.005, iterations=end, min_inlier_fraction=0.0)
+        _assert_same_fit(ransac_plane(pts, params, seed=seed),
+                         ransac_reference(pts, capped, seed))
+
+    @pytest.mark.parametrize("seed, n, share", _CLOUDS)
+    def test_iterations_caps_the_hypotheses(self, seed, n, share):
+        pts = _plane_cloud(seed, n, share)
+        for iterations in (8, 40, 200):
+            params = RansacParams(threshold=0.005, iterations=iterations,
+                                  min_inlier_fraction=0.0)
+            capped = RansacParams(threshold=0.005, min_inlier_fraction=0.0,
+                                  iterations=predicted_stop(pts, params, seed))
+            _assert_same_fit(ransac_plane(pts, params, seed=seed),
+                             ransac_reference(pts, capped, seed))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_of_tied_hypotheses_wins(self, seed):
+        # two exact patches of 40 points each, 0.1 m or more off each
+        # other's plane: hypotheses through either one tie at 40 inliers
+        rng = np.random.default_rng(seed)
+        a = np.stack([rng.uniform(-0.3, 0.3, 40), rng.uniform(-0.3, 0.3, 40),
+                      np.zeros(40)], axis=1)
+        b = np.stack([np.ones(40), rng.uniform(0.1, 0.7, 40),
+                      rng.uniform(0.1, 0.7, 40)], axis=1)
+        pts = rng.permutation(np.vstack([a, b]))
+        params = RansacParams(threshold=0.005, min_inlier_fraction=0.0)
+        capped = RansacParams(threshold=0.005, min_inlier_fraction=0.0,
+                              iterations=predicted_stop(pts, params, seed))
+        _assert_same_fit(ransac_plane(pts, params, seed=seed),
+                         ransac_reference(pts, capped, seed))
 
     def test_stopping_changes_some_winners(self):
-        # guards the test above: scoring on past the predicted block would be seen
+        # guards the tests above: scoring on past the predicted block would be seen
         changed = 0
         for seed, n, share in _CLOUDS:
             pts = _plane_cloud(seed, n, share)
             params = RansacParams(threshold=0.005, min_inlier_fraction=0.0)
             stopped = ransac_plane(pts, params, seed=seed)
-            full = ransac_plane(pts, RansacParams(threshold=0.005, min_inlier_fraction=0.0,
-                                                  confidence=1.0), seed=seed)
-            changed += stopped.normal.tobytes() != full.normal.tobytes()
+            changed += (stopped.normal.tobytes()
+                        != ransac_reference(pts, params, seed)[0].tobytes())
         assert changed >= len(_CLOUDS) // 2
 
     def test_drawer_front_shares_stop_within_64_hypotheses(self):
         # w = 0.48 needs k >= ln(0.001) / ln(1 - 0.48^3) = 59 valid draws
         for seed in range(5):
             pts = _plane_cloud(seed, 850, 0.48, sigma=0.0005)
-            assert predicted_stop(pts, RansacParams(), seed)[0] <= 64
+            assert predicted_stop(pts, RansacParams(), seed) <= 64
 
     @pytest.mark.parametrize("n", [3, 100, 10_007, 2 ** 16, 2 ** 31 - 1])
     def test_triplet_draws_are_a_stable_prefix(self, n):
