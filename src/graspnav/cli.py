@@ -24,11 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import decode_value, read_json_object
 from .config import RunConfig, load_run_config
 from .drawer import load_detection_frame
-from .errors import FileFormatError, GraspNavError, LocalizationError
-from .grasp import load_grasp_batch, merge_rotation_sweeps, sweep_pose, \
-    top_k_by_score
+from .errors import (ConfigError, FileFormatError, GraspNavError,
+                     LocalizationError)
+from .grasp import load_grasp_batch
 # the EXIT_* codes stay importable from here for callers of main
 from .pipeline import (EXIT_GRASP_FILTER, EXIT_LOCALIZATION, EXIT_NAVIGATION,
                        EXIT_NO_EMBEDDINGS, EXIT_OK, EXIT_PARSE, STAGE_ERRORS,
@@ -71,20 +72,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_query_embedding(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json_object(path, "query", or_list=True)
     if isinstance(raw, dict):
         raw = raw.get("embedding")
-    # JSON numbers only: booleans, strings and nested lists are refused
-    if (isinstance(raw, list) and raw
-            and all(type(x) in (int, float) for x in raw)):
-        try:
-            return np.asarray(raw, dtype=np.float64)
-        except OverflowError:
-            pass
-    raise FileFormatError(
-        f"{path}: expected a non-empty flat JSON list of numbers, or an"
-        f" object whose 'embedding' is one")
+    try:
+        values = decode_value(tuple[float, ...], raw, "embedding")
+        if not values:
+            raise ConfigError("embedding: expected at least one value")
+    except ConfigError as exc:
+        raise FileFormatError(
+            f"{path}: expected a non-empty flat JSON list of numbers, or an"
+            f" object whose 'embedding' is one ({exc})") from exc
+    return np.array(values)
 
 
 def _resolve_config(path: str | None) -> RunConfig:
@@ -159,14 +158,8 @@ def cmd_plan_grasp(args) -> int:
         raise LocalizationError(
             f"best similarity {top.similarity:.3f} is below the"
             f" min_similarity threshold {config.grasp.min_similarity}")
-    centroid = scene.centroid_of(top.instance_id)
-
-    batches = []
-    for path in args.grasps:
-        batch = load_grasp_batch(path)
-        kept = top_k_by_score(batch.candidates, config.grasp.top_k)
-        batches.append((sweep_pose(batch.rotation, centroid), kept))
-    plan = plan_grasp(scene, top.instance_id, merge_rotation_sweeps(batches),
+    plan = plan_grasp(scene, top.instance_id,
+                      [load_grasp_batch(path) for path in args.grasps],
                       config.grasp, config.nav, config.optimizer)
     selection = plan.selection
     report = {
@@ -175,7 +168,7 @@ def cmd_plan_grasp(args) -> int:
         "localization": {"instance_id": top.instance_id,
                          "label": scene.instance(top.instance_id).label,
                          "similarity": float(top.similarity),
-                         "centroid": [float(x) for x in centroid]},
+                         "centroid": [float(x) for x in top.centroid]},
         "grasps": [_grasp_dict(i, g) for i, g in enumerate(plan.grasps)],
         "bodies": [_body_dict(i, b) for i, b in enumerate(plan.bodies)],
         "selection": {**selection.to_dict(),

@@ -1,4 +1,5 @@
-"""One JSON codec for every config and scene-spec dataclass.
+"""One JSON codec for every config and scene-spec dataclass, and for the
+values of every JSON input file.
 
 A dataclass that subclasses `JsonCodec` gets `to_dict` and `from_dict`
 driven by its fields and their type hints. Decoding checks JSON input
@@ -11,7 +12,8 @@ the field defaults. Every failure is a `ConfigError` naming the key path,
 such as ``nav.footprint_radius`` or ``objects[0].tier``. Range checks stay
 in each class's `__post_init__`, because Python callers construct these
 types directly; a `ValueError` or `ConfigError` raised there is re-raised
-as a `ConfigError` carrying the path.
+as a `ConfigError` carrying the path. File loaders read with
+`read_json_object` and check each value with `decode_value`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import typing
 
 from .errors import ConfigError, FileFormatError
 
-_EXPECTED = {float: "a finite number", int: "an integer", str: "a string"}
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string",
+             dict: "an object"}
 
 
 class JsonCodec:
@@ -39,8 +42,10 @@ class JsonCodec:
         return _decode_object(cls, d, "")
 
 
-def read_json_object(path, what: str) -> dict:
-    """Parse the JSON file at `path`, which must hold one object."""
+def read_json_object(path, what: str, or_list: bool = False) -> dict | list:
+    """Parse the JSON file at `path`, which must hold one object (or, with
+    `or_list`, one list). Every failure is a FileFormatError naming the
+    file; callers check the values inside with `decode_value`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -48,8 +53,9 @@ def read_json_object(path, what: str) -> dict:
         raise FileFormatError(f"cannot read {what} {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise FileFormatError(f"{what} {path} must hold a JSON object")
+    if not isinstance(raw, (dict, list) if or_list else dict):
+        raise FileFormatError(f"{what} {path} must hold a JSON object"
+                              + (" or list" if or_list else ""))
     return raw
 
 
@@ -99,6 +105,11 @@ def decode_value(hint, value, path: str):
         if not isinstance(value, (list, tuple)):
             raise _error(path, f"expected a list, got {value!r}")
         if args[-1] is Ellipsis:
+            # bulk path for flat scalar lists, such as 30k point indices;
+            # anything else is checked item by item to name the bad index
+            if ({*map(type, value)} <= {args[0]}
+                    and (args[0] is not float or all(map(math.isfinite, value)))):
+                return tuple(value)
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise _error(path, f"expected {len(args)} values, got {len(value)}")
@@ -112,6 +123,7 @@ def decode_value(hint, value, path: str):
                 number = math.inf
             if math.isfinite(number):
                 return number
-        elif isinstance(value, hint):
+            raise _error(path, f"expected a finite number, got non-finite {value!r}")
+        if isinstance(value, hint):
             return value
     raise _error(path, f"expected {_EXPECTED[hint]}, got {value!r}")

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .codec import JsonCodec, decode_value
+from .codec import JsonCodec, decode_value, read_json_object
 from .errors import (ConfigError, DegenerateBBoxError, DegenerateInputError,
                      FileFormatError, GraspNavError, InvalidAxisError,
                      MissingDepthError, NoPlaneFoundError)
@@ -428,67 +428,58 @@ def refine_target(initial: DrawerTarget, close_frame: DetectionFrame, *,
 # Frame I/O
 # ---------------------------------------------------------------------------
 
-def _frame_error(path: Path, detail: str) -> FileFormatError:
-    return FileFormatError(f"{path}: {detail}")
-
-
 def load_detection_frame(path: str | Path) -> DetectionFrame:
     """Read a detection frame: JSON metadata plus a raw float32 depth file.
 
     The depth file path is resolved relative to the JSON file. Depth is
     row-major little-endian float32, one value per pixel, 0 where invalid;
     every value must be finite. `cam_pose`, `bbox` and `confidence` take
-    finite JSON numbers only, as run-config number fields do.
+    finite JSON numbers only and `class` a string, as run-config fields do.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise _frame_error(path, f"invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise _frame_error(path, "expected a JSON object")
+    raw = read_json_object(path, "detection frame")
     for key in ("intrinsics", "cam_pose", "depth_file", "detections"):
         if key not in raw:
-            raise _frame_error(path, f"missing required key {key!r}")
+            raise FileFormatError(f"{path}: missing required key {key!r}")
     if not isinstance(raw["detections"], list):
-        raise _frame_error(path, "detections must be a list")
+        raise FileFormatError(f"{path}: detections must be a list")
     if not isinstance(raw["depth_file"], str) or not raw["depth_file"]:
-        raise _frame_error(path, "depth_file must be a non-empty string")
+        raise FileFormatError(f"{path}: depth_file must be a non-empty string")
     try:
         intrinsics = CameraIntrinsics.from_dict(raw["intrinsics"])
     except ConfigError as exc:
-        raise _frame_error(path, f"bad intrinsics: {exc}") from exc
+        raise FileFormatError(f"{path}: bad intrinsics: {exc}") from exc
     try:
         pose_values = decode_value(tuple[float, ...], raw["cam_pose"], "cam_pose")
         if len(pose_values) != 16:
             raise ValueError(f"expected 16 row-major values, got {len(pose_values)}")
         cam_pose = Pose.from_matrix(np.array(pose_values).reshape(4, 4))
     except (ValueError, GraspNavError) as exc:
-        raise _frame_error(path, f"bad cam_pose: {exc}") from exc
+        raise FileFormatError(f"{path}: bad cam_pose: {exc}") from exc
     depth_path = path.parent / raw["depth_file"]
-    if not depth_path.exists():
-        raise _frame_error(path, f"depth file not found: {raw['depth_file']}")
+    if not depth_path.is_file():
+        raise FileFormatError(f"{path}: depth file not found: {raw['depth_file']}")
     depth = np.fromfile(depth_path, dtype="<f4").astype(np.float64)
     expected = intrinsics.width * intrinsics.height
     if depth.size != expected:
-        raise _frame_error(
-            path, f"depth file has {depth.size} values, expected {expected}")
+        raise FileFormatError(
+            f"{path}: depth file has {depth.size} values, expected {expected}")
     if not np.all(np.isfinite(depth)):
-        raise _frame_error(
-            path, f"depth file {raw['depth_file']} contains non-finite values")
+        raise FileFormatError(
+            f"{path}: depth file {raw['depth_file']} contains non-finite values")
     if np.any(depth < 0):
-        raise _frame_error(path, "depth file contains negative values")
+        raise FileFormatError(f"{path}: depth file contains negative values")
     depth = depth.reshape(intrinsics.height, intrinsics.width)
     detections = []
     for i, entry in enumerate(raw["detections"]):
         try:
             bbox = BBox2D(*decode_value(tuple[float, float, float, float],
                                         entry["bbox"], "bbox"))
-            det = Detection2D(class_label=entry["class"], bbox=bbox,
-                              confidence=decode_value(float, entry["confidence"],
-                                                      "confidence"))
+            det = Detection2D(
+                class_label=decode_value(str, entry["class"], "class"), bbox=bbox,
+                confidence=decode_value(float, entry["confidence"], "confidence"))
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise _frame_error(path, f"detection {i}: {exc}") from exc
+            raise FileFormatError(f"{path}: detection {i}: {exc}") from exc
         detections.append(det)
     return DetectionFrame(intrinsics=intrinsics, cam_pose=cam_pose,
                           depth=depth, detections=detections)

@@ -15,7 +15,6 @@ object; callers supply the centroid it pivoted about (see sweep_pose).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .codec import JsonCodec
+from .codec import JsonCodec, decode_value, read_json_object
 from .errors import (ConfigError, DegenerateInputError, FileFormatError,
                      InvalidRotationError)
 from .geometry import ROTATION_TOL, Pose, rotation_about_z
@@ -96,38 +95,31 @@ def sweep_rotations(count: int) -> list[np.ndarray]:
     return [rotation_about_z(2.0 * math.pi * i / count) for i in range(count)]
 
 
-def _finite_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} holds a non-finite value")
-    return arr
+# a row-major 3x3 rotation
+_MATRIX = tuple[(float,) * 9]
 
 
 def load_grasp_batch(path: str) -> GraspBatch:
     """Parse one grasp batch file; candidates stay in the rotated frame."""
+    doc = read_json_object(path, "grasp batch")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: cannot parse grasp batch: {exc}") from exc
-    try:
-        rotation = _finite_array(doc["rotation"], (3, 3), "rotation")
-        raw = doc["candidates"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rotation = np.reshape(decode_value(_MATRIX, doc["rotation"], "rotation"),
+                              (3, 3))
+        records = decode_value(tuple[dict, ...], doc["candidates"], "candidates")
+    except (KeyError, ConfigError) as exc:
         raise FileFormatError(f"{path}: malformed grasp batch: {exc}") from exc
-    if not isinstance(raw, list):
-        raise FileFormatError(f"{path}: candidates must be a list, got {raw!r}")
     candidates = []
-    for i, rec in enumerate(raw):
+    for i, rec in enumerate(records):
         try:
-            pose = Pose(_finite_array(rec["rotation"], (3, 3), "rotation"),
-                        _finite_array(rec["translation"], (3,), "translation"))
-            width, score = float(rec["width"]), float(rec["score"])
-            if not (math.isfinite(width) and math.isfinite(score)):
-                raise ValueError(f"width {width} and score {score} must be finite")
-            candidates.append(GraspCandidate(pose=pose, width=width, score=score))
-        except (KeyError, TypeError, ValueError, OverflowError,
-                InvalidRotationError) as exc:
+            pose = Pose(
+                np.reshape(decode_value(_MATRIX, rec["rotation"], "rotation"),
+                           (3, 3)),
+                np.array(decode_value(tuple[float, float, float],
+                                      rec["translation"], "translation")))
+            candidates.append(GraspCandidate(
+                pose=pose, width=decode_value(float, rec["width"], "width"),
+                score=decode_value(float, rec["score"], "score")))
+        except (KeyError, ConfigError, ValueError, InvalidRotationError) as exc:
             raise FileFormatError(f"{path}: candidate {i}: {exc}") from exc
     return GraspBatch(rotation=rotation, candidates=candidates)
 

@@ -1,7 +1,7 @@
 """The planning stages that the command line and the simulator share.
 
-``plan_grasp`` takes merged grasp proposals for a localized object to a
-joint grasp / body selection, and ``perceive_drawers`` turns detection
+``plan_grasp`` takes rotation-sweep grasp proposals for a localized object
+to a joint grasp / body selection, and ``perceive_drawers`` turns detection
 frames into fused drawer targets. ``graspnav.cli`` runs them on files and
 ``graspnav.sim.episodes`` on rendered scenes, so the simulator scores the
 code that the command line ships.
@@ -21,7 +21,8 @@ from .drawer import (DetectionFrame, DrawerConfig, DrawerTarget, fuse_views,
 from .errors import (DegenerateInputError, LocalizationError,
                      MissingDepthError, NoGraspError, NoPlaneFoundError,
                      NoPoseError, UnsupportedQueryError)
-from .grasp import GraspCandidate, GraspConfig, filter_grasps
+from .grasp import (GraspBatch, GraspCandidate, GraspConfig, filter_grasps,
+                    merge_rotation_sweeps, sweep_pose, top_k_by_score)
 from .nav import BodyCandidate, NavConfig, sample_positions, validate_candidates
 from .optimizer import JointSelection, OptimizerWeights, select_best
 from .scene import PointCloudScene
@@ -64,16 +65,24 @@ class GraspPlan:
 
 
 def plan_grasp(scene: PointCloudScene, instance_id: int,
-               merged: Sequence[GraspCandidate], grasp_cfg: GraspConfig,
+               sweeps: Sequence[GraspBatch], grasp_cfg: GraspConfig,
                nav: NavConfig, weights: OptimizerWeights,
                counts: dict | None = None) -> GraspPlan:
-    """Filter merged proposals onto the object, validate ring placements
-    around it, and select the best grasp / body pair.
+    """Merge each sweep's top-k proposals (rotated about the object's
+    centroid) into the world frame, filter them onto the object, validate
+    ring placements around it, and select the best grasp / body pair.
 
-    ``counts``, when given, receives ``on_object``, ``body_candidates``
-    and ``valid_bodies`` as each becomes known, also when a stage fails.
+    ``counts``, when given, receives ``proposals``, ``on_object``,
+    ``body_candidates`` and ``valid_bodies`` as each becomes known, also
+    when a stage fails.
     """
     counts = {} if counts is None else counts
+    centroid = scene.centroid_of(instance_id)
+    merged = merge_rotation_sweeps(
+        [(sweep_pose(sweep.rotation, centroid),
+          top_k_by_score(sweep.candidates, grasp_cfg.top_k))
+         for sweep in sweeps])
+    counts["proposals"] = len(merged)
     if not merged:
         raise NoGraspError("grasp batches contain no candidates",
                            reason="no-proposals")
@@ -85,7 +94,6 @@ def plan_grasp(scene: PointCloudScene, instance_id: int,
             f"no candidate with positive score lies within"
             f" {grasp_cfg.on_object_tol} m of the object",
             reason="no-grasp-on-object")
-    centroid = scene.centroid_of(instance_id)
     bodies = validate_candidates(sample_positions(centroid, nav), scene,
                                  instance_id, nav)
     valid = [b for b in bodies if b.valid]

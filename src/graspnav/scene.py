@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import decode_value, read_json_object
 from .errors import (
+    ConfigError,
     EmptySceneError,
     FileFormatError,
     InstanceNotFoundError,
@@ -309,21 +311,20 @@ class PointCloudScene:
 def _parse_instance(record: dict, n_points: int, dim: int,
                     claimed: np.ndarray, path: str) -> InstanceMask:
     try:
-        inst_id = int(record["id"])
-        label = str(record["label"])
-        confidence = float(record["confidence"])
-        indices = np.asarray(record["point_indices"], dtype=np.int64)
-        raw_embedding = record.get("embedding")
-        embedding = (None if raw_embedding is None
-                     else np.asarray(raw_embedding, dtype=np.float64))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        inst_id = decode_value(int, record["id"], "id")
+        label = decode_value(str, record["label"], "label")
+        confidence = decode_value(float, record["confidence"], "confidence")
+        indices = np.array(decode_value(tuple[int, ...], record["point_indices"],
+                                        "point_indices"), dtype=np.int64)
+        embedding = decode_value(tuple[float, ...] | None,
+                                 record.get("embedding"), "embedding")
+    except (KeyError, ConfigError) as exc:
         raise FileFormatError(f"{path}: malformed instance record: {exc}") from exc
+    except OverflowError:       # an integer index that int64 cannot hold
+        raise FileFormatError(f"{path}: point_indices exceed int64") from None
     if not 0.0 <= confidence <= 1.0:
         raise FileFormatError(
             f"{path}: instance {inst_id} confidence {confidence} outside [0, 1]")
-    if indices.ndim != 1:
-        raise FileFormatError(
-            f"{path}: instance {inst_id} point_indices must be a flat list")
     if indices.size == 0:
         raise FileFormatError(f"{path}: instance {inst_id} has no points")
     if indices.min() < 0 or indices.max() >= n_points:
@@ -338,6 +339,7 @@ def _parse_instance(record: dict, n_points: int, dim: int,
             f"point index {clash}")
     claimed[indices] = True
     if embedding is not None:
+        embedding = np.array(embedding)
         if embedding.shape != (dim,):
             raise FileFormatError(
                 f"{path}: instance {inst_id} embedding has {embedding.size} "
@@ -351,21 +353,22 @@ def _parse_instance(record: dict, n_points: int, dim: int,
 
 
 def read_instances(path: str, n_points: int) -> tuple[list[InstanceMask], int]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: cannot parse instances file: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("instances"), list):
+    doc = read_json_object(path, "instances file")
+    if not isinstance(doc.get("instances"), list):
         raise FileFormatError(f"{path}: expected an object with an 'instances' list")
-    dim = doc.get("embedding_dim", DEFAULT_EMBEDDING_DIM)
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
+    try:
+        dim = decode_value(int, doc.get("embedding_dim", DEFAULT_EMBEDDING_DIM),
+                           "embedding_dim")
+        records = decode_value(tuple[dict, ...], doc["instances"], "instances")
+    except ConfigError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    if dim <= 0:
         raise FileFormatError(
             f"{path}: embedding_dim must be a positive integer, got {dim!r}")
     claimed = np.zeros(n_points, dtype=bool)
     instances = []
     seen_ids: set[int] = set()
-    for record in doc["instances"]:
+    for record in records:
         inst = _parse_instance(record, n_points, dim, claimed, path)
         if inst.id in seen_ids:
             raise FileFormatError(f"{path}: duplicate instance id {inst.id}")

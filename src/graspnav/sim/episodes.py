@@ -28,8 +28,8 @@ from ..codec import JsonCodec
 from ..drawer import DetectionFrame, DrawerConfig, plan_pull, refine_target
 from ..errors import ConfigError, InvalidAxisError, StageError
 from ..geometry import CameraIntrinsics, Pose, farthest_point_sample, look_at
-from ..grasp import (GraspCandidate, GraspConfig, merge_rotation_sweeps,
-                     sweep_pose, sweep_rotations, top_k_by_score)
+from ..grasp import (GraspBatch, GraspCandidate, GraspConfig, sweep_pose,
+                     sweep_rotations)
 from ..nav import NavConfig
 from ..optimizer import OptimizerWeights
 from ..pipeline import STAGE_ERRORS, STAGES, perceive_drawers, plan_grasp
@@ -181,13 +181,13 @@ def _sweep_sector(approach: np.ndarray, count: int) -> int:
 
 def _propose_grasps(target: PlacedObject, scene: PointCloudScene,
                     grasp_cfg: GraspConfig, sim: SimConfig, noise: NoiseModel,
-                    rng: np.random.Generator) -> list[GraspCandidate]:
+                    rng: np.random.Generator) -> list[GraspBatch]:
     """Simulated sweep detections: ground truth perturbed by tiered noise.
 
     Each truth grasp consumes a fixed draw layout (dropout, 3-D offset,
     confidence) so different noise magnitudes reuse the same underlying
-    randomness. Proposals are authored in their sweep's rotated frame and
-    merged back, mirroring how real sweep batches arrive.
+    randomness. Proposals are authored in their sweep's rotated frame,
+    as real sweep batches arrive.
     """
     centroid = scene.centroid_of(target.instance_id)
     rotations = sweep_rotations(grasp_cfg.sweep_count)
@@ -206,11 +206,7 @@ def _propose_grasps(target: PlacedObject, scene: PointCloudScene,
         sweep = sweep_pose(rotations[sector], centroid)
         per_sweep[sector].append(GraspCandidate(
             pose=sweep.compose(world), width=truth.width, score=conf))
-    batches = []
-    for rotation, cands in zip(rotations, per_sweep):
-        batches.append((sweep_pose(rotation, centroid),
-                        top_k_by_score(cands, grasp_cfg.top_k)))
-    return merge_rotation_sweeps(batches)
+    return [GraspBatch(r, cands) for r, cands in zip(rotations, per_sweep)]
 
 
 def run_grasp_episode(synth: SyntheticScene, target: PlacedObject,
@@ -250,10 +246,9 @@ def run_grasp_episode(synth: SyntheticScene, target: PlacedObject,
 
     # detection and navigation: noisy sweep proposals filtered onto the
     # object, ring placements validated, then the joint selection
-    merged = _propose_grasps(target, scene, grasp_cfg, sim, noise, rng)
-    details["proposals"] = len(merged)
+    sweeps = _propose_grasps(target, scene, grasp_cfg, sim, noise, rng)
     try:
-        plan = plan_grasp(scene, target.instance_id, merged, grasp_cfg, nav,
+        plan = plan_grasp(scene, target.instance_id, sweeps, grasp_cfg, nav,
                           weights, counts=details)
     except StageError as exc:
         return report(STAGE_ERRORS[type(exc)][0], exc.reason)

@@ -392,7 +392,16 @@ _FRAME = {"intrinsics": {"fx": 10.0, "fy": 10.0, "cx": 3.5, "cy": 3.5,
           "depth_file": "frame.depth.bin", "detections": []}
 
 
-# (input file, its JSON document, text the error message must contain)
+def _instances_with(**record):
+    """An instances file whose one record takes the given values."""
+    return {"embedding_dim": 2,
+            "instances": [{"id": 1, "label": "mug", "confidence": 0.9,
+                           "point_indices": [0, 1], "embedding": [1.0, 0.0],
+                           **record}]}
+
+
+# (input file, its JSON document or raw bytes, text the error message
+# must contain)
 BOUNDARY_PROBES = [
     ("config", {"nav": {"footprint_radius": "0.3"}}, "nav.footprint_radius"),
     ("config", {"nav": 5}, "nav: expected an object"),
@@ -418,12 +427,12 @@ BOUNDARY_PROBES = [
     ("grasps", _batch_with(translation=[0.1, _NAN, 0.3]),
      "candidate 0: translation"),
     ("grasps", _batch_with(width=_NAN), "candidate 0: width"),
-    ("grasps", _batch_with(score=float("inf")), "candidate 0: width"),
+    ("grasps", _batch_with(score=float("inf")), "candidate 0: score"),
     ("instances", {"embedding_dim": 4, "instances": 5}, "'instances' list"),
     ("instances", {"embedding_dim": 2.7, "instances": []}, "embedding_dim"),
     ("instances", {"embedding_dim": _NAN, "instances": []}, "embedding_dim"),
     ("instances", {"embedding_dim": [1], "instances": []}, "embedding_dim"),
-    ("frames", 5, "expected a JSON object"),
+    ("frames", 5, "must hold a JSON object"),
     ("frames", {**_FRAME, "detections": 5}, "detections must be a list"),
     ("frames", {**_FRAME, "depth_file": 5}, "depth_file must be"),
     ("query", [{"a": 1}, 2], "flat JSON list of numbers"),
@@ -433,6 +442,29 @@ BOUNDARY_PROBES = [
     ("query", {"embedding": [[0.0], [1.0], [0.0]]}, "flat JSON list of numbers"),
     ("query", [10 ** 400, 0, 0], "flat JSON list of numbers"),
     ("query", {"embedding": []}, "flat JSON list of numbers"),
+    # test ids carry the row index, so new rows go at the end
+    ("grasps", _batch_with(width="0.04"), "candidate 0: width"),
+    ("grasps", _batch_with(score=True), "candidate 0: score"),
+    ("grasps", _batch_with(translation=["0.1", "0.2", "0.3"]),
+     "candidate 0: translation[0]"),
+    ("instances", _instances_with(id=3.7), "id: expected an integer"),
+    ("instances", _instances_with(id="3"), "id: expected an integer"),
+    ("instances", _instances_with(label=5), "label: expected a string"),
+    ("instances", _instances_with(confidence="0.9"),
+     "confidence: expected a finite number"),
+    ("instances", _instances_with(confidence=True),
+     "confidence: expected a finite number"),
+    ("instances", _instances_with(point_indices=[0.9, 1.5]),
+     "point_indices[0]: expected an integer"),
+    ("instances", _instances_with(point_indices=[True, 2]),
+     "point_indices[0]: expected an integer"),
+    ("instances", _instances_with(point_indices=[10 ** 30]), "point_indices"),
+    ("instances", _instances_with(embedding=["1.0", "0"]),
+     "embedding[0]: expected a finite number"),
+    ("query", b"{embedding: [1.0]}", "query.json"),
+    ("query", b"[\xff\xfe]", "query.json"),
+    ("frames", b"{intrinsics", "frames.json"),
+    ("frames", b"{\"cam_pose\": \"\xff\"}", "frames.json"),
 ]
 
 
@@ -445,7 +477,10 @@ class TestBoundaryProbes:
     def test_probe_exits_1_naming_the_key(self, workdir, tmp_path, capsys,
                                           kind, doc, needle):
         path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         if kind in ("config", "spec"):
             argv = ["simulate", "--task", "search", "--episodes", "1",

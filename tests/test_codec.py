@@ -6,13 +6,15 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graspnav.codec import read_json_object
+from graspnav.cli import _load_query_embedding
+from graspnav.codec import decode_value, read_json_object
 from graspnav.config import RunConfig
-from graspnav.drawer import DrawerConfig
+from graspnav.drawer import DrawerConfig, load_detection_frame
 from graspnav.errors import ConfigError, FileFormatError, GraspNavError
 from graspnav.geometry import CameraIntrinsics, RansacParams
 from graspnav.grasp import GraspConfig, load_grasp_batch
@@ -128,11 +130,40 @@ class TestDecoding:
                                         if k != "height"})
 
 
+def _outcome(decode):
+    try:
+        return [(type(v), v) for v in decode()]
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("hint", [int, float])
+@pytest.mark.parametrize("text", ["[1, 2, 3]", "[0.5, 1.5]", "[0.5, 1, 2.5]",
+                                  "[1, true, 3]", "[0.5, NaN]",
+                                  "[Infinity, 1.0]", "[]"])
+def test_flat_list_bulk_path_matches_per_item_path(hint, text):
+    """A flat list decoded whole (bulk path when every item has the hinted
+    type) equals the items decoded one by one, errors included."""
+    items = json.loads(text)
+    whole = _outcome(lambda: decode_value(tuple[hint, ...], items, "x"))
+    one_by_one = _outcome(lambda: tuple(
+        decode_value(hint, v, f"x[{i}]") for i, v in enumerate(items)))
+    assert whole == one_by_one
+
+
 class TestReadJsonObject:
     def test_reads_object(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"a": 1}')
         assert read_json_object(path, "config") == {"a": 1}
+
+    def test_reads_list_when_allowed(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[1, 2]")
+        assert read_json_object(path, "query", or_list=True) == [1, 2]
+        path.write_text("5")
+        with pytest.raises(FileFormatError, match="JSON object or list"):
+            read_json_object(path, "query", or_list=True)
 
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "must hold a JSON object"),
@@ -209,6 +240,15 @@ _GRASP_BATCH = {"rotation": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0],
                 "candidates": [{"translation": [0.1, 0.2, 0.3],
                                 "rotation": [0, -1.0, 0, 1.0, 0, 0, 0, 0, 1.0],
                                 "width": 0.04, "score": 0.8}]}
+_FRAME = {"intrinsics": {"fx": 10.0, "fy": 10.0, "cx": 3.5, "cy": 3.5,
+                         "width": 8, "height": 8},
+          "cam_pose": [1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 1.0],
+          "depth_file": "doc.depth.bin",
+          "detections": [{"class": "handle", "bbox": [2.0, 2.0, 4.0, 4.0],
+                          "confidence": 0.9},
+                         {"class": "drawer", "bbox": [1, 1, 7, 7],
+                          "confidence": 0.8}]}
+_QUERY = {"embedding": [0.6, 0.8, 0.0]}
 _INSTANCES = {"embedding_dim": 2,
               "instances": [{"id": 1, "label": "mug", "confidence": 0.9,
                              "point_indices": [0, 1], "embedding": [1.0, 0.0]},
@@ -218,7 +258,10 @@ _INSTANCES = {"embedding_dim": 2,
 
 @pytest.fixture(scope="module")
 def scratch_file():
+    """doc.json in a fresh directory, next to the 8x8 depth file that
+    _FRAME names."""
     with tempfile.TemporaryDirectory() as tmp:
+        np.full(64, 1.5, dtype="<f4").tofile(Path(tmp) / "doc.depth.bin")
         yield Path(tmp) / "doc.json"
 
 
@@ -241,6 +284,9 @@ class TestLoaderFuzzing:
         instances, dim = _via_file(
             scratch_file, lambda p: read_instances(p, 4))(_INSTANCES)
         assert dim == 2 and len(instances) == 2
+        frame = _via_file(scratch_file, load_detection_frame)(_FRAME)
+        assert len(frame.handles) == 1 and len(frame.drawers) == 1
+        assert len(_via_file(scratch_file, _load_query_embedding)(_QUERY)) == 3
 
     @settings(max_examples=300, deadline=None)
     @given(doc=_mutations(_RUN_CONFIG))
@@ -262,3 +308,13 @@ class TestLoaderFuzzing:
     def test_instances(self, scratch_file, doc):
         _only_graspnav_errors(
             _via_file(scratch_file, lambda p: read_instances(p, 4)), doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_mutations(_FRAME))
+    def test_detection_frame(self, scratch_file, doc):
+        _only_graspnav_errors(_via_file(scratch_file, load_detection_frame), doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_mutations(_QUERY))
+    def test_query(self, scratch_file, doc):
+        _only_graspnav_errors(_via_file(scratch_file, _load_query_embedding), doc)

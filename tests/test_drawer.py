@@ -517,6 +517,15 @@ class TestFrameIO:
         with pytest.raises(FileFormatError, match="depth file"):
             load_detection_frame(path)
 
+    def test_depth_file_naming_a_directory(self, tmp_path):
+        path = tmp_path / "frame.json"
+        write_detection_frame(path, self.sample_frame())
+        doc = json.loads(path.read_text())
+        doc["depth_file"] = "."
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=r"depth file not found: \."):
+            load_detection_frame(path)
+
     def test_negative_depth(self, tmp_path):
         frame = self.sample_frame()
         path = tmp_path / "frame.json"
