@@ -7,6 +7,7 @@ Subsystems:
     nav        body-position sampling and validation around a target
     optimizer  joint grasp / body-pose selection
     drawer     handle-drawer matching, axis estimation, view fusion, pull plans
+    config     the run config: one section per stage, simulator included
     pipeline   the planning stages the CLI and the simulator share
     sim        deterministic synthetic scenes, depth rendering, episode runner
     cli        command-line front end

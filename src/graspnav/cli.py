@@ -159,8 +159,7 @@ def cmd_plan_grasp(args) -> int:
             f"best similarity {top.similarity:.3f} is below the"
             f" min_similarity threshold {config.grasp.min_similarity}")
     plan = plan_grasp(scene, top.instance_id,
-                      [load_grasp_batch(path) for path in args.grasps],
-                      config.grasp, config.nav, config.optimizer)
+                      [load_grasp_batch(path) for path in args.grasps], config)
     selection = plan.selection
     report = {
         "command": "plan-grasp",
@@ -203,15 +202,9 @@ def cmd_simulate(args) -> int:
     else:
         spec = (default_grasp_spec() if args.task == "grasp"
                 else default_search_spec())
-    if args.task == "grasp":
-        reports, summary = run_grasp_batch(
-            args.episodes, args.seed, spec=spec, sim=config.sim,
-            noise=config.noise, nav=config.nav, grasp_cfg=config.grasp,
-            weights=config.optimizer)
-    else:
-        reports, summary = run_search_batch(
-            args.episodes, args.seed, spec=spec, sim=config.sim,
-            noise=config.noise, nav=config.nav, drawer_cfg=config.drawer)
+    run_batch = run_grasp_batch if args.task == "grasp" else run_search_batch
+    reports, summary = run_batch(args.episodes, args.seed, spec=spec,
+                                 config=config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

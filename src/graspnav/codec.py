@@ -104,15 +104,16 @@ def decode_value(hint, value, path: str):
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise _error(path, f"expected a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            # bulk path for flat scalar lists, such as 30k point indices;
-            # anything else is checked item by item to name the bad index
-            if ({*map(type, value)} <= {args[0]}
-                    and (args[0] is not float or all(map(math.isfinite, value)))):
-                return tuple(value)
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
+        if args[-1] is not Ellipsis and len(value) != len(args):
             raise _error(path, f"expected {len(args)} values, got {len(value)}")
+        # bulk path when every hint and item has one scalar type, as in 30k
+        # point indices or a 16-value pose; anything else is checked item
+        # by item to name the bad index
+        if ({*args, *map(type, value)} <= {args[0], Ellipsis}
+                and (args[0] is not float or all(map(math.isfinite, value)))):
+            return tuple(value)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
         return tuple(decode_value(a, v, f"{path}[{i}]")
                      for i, (a, v) in enumerate(zip(args, value)))
     if not isinstance(value, bool):

@@ -386,21 +386,19 @@ def plan_pull(target: DrawerTarget, standoff: float = DEFAULT_STANDOFF,
                     pull_to=center + pull_distance * horizontal)
 
 
-def refine_target(initial: DrawerTarget, close_frame: DetectionFrame, *,
-                  gate_radius: float = DEFAULT_GATE_RADIUS,
-                  kappa: float = DEFAULT_KAPPA,
-                  ioa_min: float = DEFAULT_IOA_MIN,
-                  ransac: RansacParams = RansacParams(),
+def refine_target(initial: DrawerTarget, close_frame: DetectionFrame,
+                  drawer_cfg: DrawerConfig = DrawerConfig(), *,
                   seed: int = 0) -> tuple[DrawerTarget, bool]:
     """Re-estimate center and axis from a close-range frame, best effort.
 
     The close frame's matched pair nearest the initial center wins if it
-    lies within `gate_radius`; otherwise, or when matching or plane
-    fitting fails, the initial target is returned unchanged with a False
-    flag.
+    lies within the config's `gate_radius`; otherwise, or when matching or
+    plane fitting fails, the initial target is returned unchanged with a
+    False flag.
     """
     pairs = match_handles_to_drawers(close_frame.handles, close_frame.drawers,
-                                     kappa=kappa, ioa_min=ioa_min)
+                                     kappa=drawer_cfg.kappa,
+                                     ioa_min=drawer_cfg.ioa_min)
     candidates = []
     for pair in pairs:
         try:
@@ -412,11 +410,12 @@ def refine_target(initial: DrawerTarget, close_frame: DetectionFrame, *,
         return initial, False
     dists = [np.linalg.norm(c - initial.handle_center) for _, c in candidates]
     best = int(np.argmin(dists))
-    if dists[best] > gate_radius:
+    if dists[best] > drawer_cfg.gate_radius:
         return initial, False
     pair, center = candidates[best]
     try:
-        axis, inliers = estimate_axis(pair, close_frame, ransac, seed=seed)
+        axis, inliers = estimate_axis(pair, close_frame, drawer_cfg.ransac,
+                                      seed=seed)
     except (DegenerateInputError, NoPlaneFoundError):
         return initial, False
     refined = replace(initial, handle_center=center, axis=axis,
@@ -431,7 +430,8 @@ def refine_target(initial: DrawerTarget, close_frame: DetectionFrame, *,
 def load_detection_frame(path: str | Path) -> DetectionFrame:
     """Read a detection frame: JSON metadata plus a raw float32 depth file.
 
-    The depth file path is resolved relative to the JSON file. Depth is
+    The depth file is named by a bare file name in the JSON file's
+    directory; a name with a directory part is rejected. Depth is
     row-major little-endian float32, one value per pixel, 0 where invalid;
     every value must be finite. `cam_pose`, `bbox` and `confidence` take
     finite JSON numbers only and `class` a string, as run-config fields do.
@@ -443,8 +443,12 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
             raise FileFormatError(f"{path}: missing required key {key!r}")
     if not isinstance(raw["detections"], list):
         raise FileFormatError(f"{path}: detections must be a list")
-    if not isinstance(raw["depth_file"], str) or not raw["depth_file"]:
+    depth_name = raw["depth_file"]
+    if not isinstance(depth_name, str) or not depth_name:
         raise FileFormatError(f"{path}: depth_file must be a non-empty string")
+    if Path(depth_name).parent != Path("."):
+        raise FileFormatError(
+            f"{path}: depth_file must be a bare file name, got {depth_name!r}")
     try:
         intrinsics = CameraIntrinsics.from_dict(raw["intrinsics"])
     except ConfigError as exc:
@@ -456,20 +460,6 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
         cam_pose = Pose.from_matrix(np.array(pose_values).reshape(4, 4))
     except (ValueError, GraspNavError) as exc:
         raise FileFormatError(f"{path}: bad cam_pose: {exc}") from exc
-    depth_path = path.parent / raw["depth_file"]
-    if not depth_path.is_file():
-        raise FileFormatError(f"{path}: depth file not found: {raw['depth_file']}")
-    depth = np.fromfile(depth_path, dtype="<f4").astype(np.float64)
-    expected = intrinsics.width * intrinsics.height
-    if depth.size != expected:
-        raise FileFormatError(
-            f"{path}: depth file has {depth.size} values, expected {expected}")
-    if not np.all(np.isfinite(depth)):
-        raise FileFormatError(
-            f"{path}: depth file {raw['depth_file']} contains non-finite values")
-    if np.any(depth < 0):
-        raise FileFormatError(f"{path}: depth file contains negative values")
-    depth = depth.reshape(intrinsics.height, intrinsics.width)
     detections = []
     for i, entry in enumerate(raw["detections"]):
         try:
@@ -478,9 +468,26 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
             det = Detection2D(
                 class_label=decode_value(str, entry["class"], "class"), bbox=bbox,
                 confidence=decode_value(float, entry["confidence"], "confidence"))
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        except KeyError as exc:
+            raise FileFormatError(
+                f"{path}: detection {i}: missing required key {exc}") from exc
+        except (TypeError, ValueError, ConfigError) as exc:
             raise FileFormatError(f"{path}: detection {i}: {exc}") from exc
         detections.append(det)
+    depth_path = path.parent / depth_name
+    if not depth_path.is_file():
+        raise FileFormatError(f"{path}: depth file not found: {depth_name}")
+    depth = np.fromfile(depth_path, dtype="<f4").astype(np.float64)
+    expected = intrinsics.width * intrinsics.height
+    if depth.size != expected:
+        raise FileFormatError(
+            f"{path}: depth file has {depth.size} values, expected {expected}")
+    if not np.all(np.isfinite(depth)):
+        raise FileFormatError(
+            f"{path}: depth file {depth_name} contains non-finite values")
+    if np.any(depth < 0):
+        raise FileFormatError(f"{path}: depth file contains negative values")
+    depth = depth.reshape(intrinsics.height, intrinsics.width)
     return DetectionFrame(intrinsics=intrinsics, cam_pose=cam_pose,
                           depth=depth, detections=detections)
 

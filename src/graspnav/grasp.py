@@ -54,7 +54,7 @@ class GraspCandidate:
         return self.pose.rotation[:, 0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraspConfig(JsonCodec):
     """Knobs for the grasp ingestion stage of the pipeline."""
 
@@ -106,7 +106,10 @@ def load_grasp_batch(path: str) -> GraspBatch:
         rotation = np.reshape(decode_value(_MATRIX, doc["rotation"], "rotation"),
                               (3, 3))
         records = decode_value(tuple[dict, ...], doc["candidates"], "candidates")
-    except (KeyError, ConfigError) as exc:
+    except KeyError as exc:
+        raise FileFormatError(
+            f"{path}: malformed grasp batch: missing required key {exc}") from exc
+    except ConfigError as exc:
         raise FileFormatError(f"{path}: malformed grasp batch: {exc}") from exc
     candidates = []
     for i, rec in enumerate(records):
@@ -119,7 +122,10 @@ def load_grasp_batch(path: str) -> GraspBatch:
             candidates.append(GraspCandidate(
                 pose=pose, width=decode_value(float, rec["width"], "width"),
                 score=decode_value(float, rec["score"], "score")))
-        except (KeyError, ConfigError, ValueError, InvalidRotationError) as exc:
+        except KeyError as exc:
+            raise FileFormatError(
+                f"{path}: candidate {i}: missing required key {exc}") from exc
+        except (ConfigError, ValueError, InvalidRotationError) as exc:
             raise FileFormatError(f"{path}: candidate {i}: {exc}") from exc
     return GraspBatch(rotation=rotation, candidates=candidates)
 

@@ -33,7 +33,7 @@ REASON_NO_LINE_OF_SIGHT = "no-line-of-sight"
 _RING_COUNT_EPS = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class NavConfig(JsonCodec):
     """Sampling radii and validation thresholds; all serializable."""
 
@@ -48,7 +48,7 @@ class NavConfig(JsonCodec):
     floor_slab: float = 0.02
 
     def __post_init__(self):
-        self.radii = tuple(float(r) for r in self.radii)
+        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if not self.radii or any(r <= 0 for r in self.radii):
             raise ConfigError(f"radii must be positive, got {self.radii}")
         if list(self.radii) != sorted(self.radii):

@@ -16,15 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .config import RunConfig
 from .drawer import (DetectionFrame, DrawerConfig, DrawerTarget, fuse_views,
                      match_handles_to_drawers, view_target)
 from .errors import (DegenerateInputError, LocalizationError,
                      MissingDepthError, NoGraspError, NoPlaneFoundError,
                      NoPoseError, UnsupportedQueryError)
-from .grasp import (GraspBatch, GraspCandidate, GraspConfig, filter_grasps,
+from .grasp import (GraspBatch, GraspCandidate, filter_grasps,
                     merge_rotation_sweeps, sweep_pose, top_k_by_score)
-from .nav import BodyCandidate, NavConfig, sample_positions, validate_candidates
-from .optimizer import JointSelection, OptimizerWeights, select_best
+from .nav import BodyCandidate, sample_positions, validate_candidates
+from .optimizer import JointSelection, select_best
 from .scene import PointCloudScene
 
 STAGES = ("localization", "detection", "navigation", "manipulation")
@@ -65,8 +66,7 @@ class GraspPlan:
 
 
 def plan_grasp(scene: PointCloudScene, instance_id: int,
-               sweeps: Sequence[GraspBatch], grasp_cfg: GraspConfig,
-               nav: NavConfig, weights: OptimizerWeights,
+               sweeps: Sequence[GraspBatch], config: RunConfig,
                counts: dict | None = None) -> GraspPlan:
     """Merge each sweep's top-k proposals (rotated about the object's
     centroid) into the world frame, filter them onto the object, validate
@@ -77,6 +77,7 @@ def plan_grasp(scene: PointCloudScene, instance_id: int,
     when a stage fails.
     """
     counts = {} if counts is None else counts
+    grasp_cfg, nav = config.grasp, config.nav
     centroid = scene.centroid_of(instance_id)
     merged = merge_rotation_sweeps(
         [(sweep_pose(sweep.rotation, centroid),
@@ -102,7 +103,8 @@ def plan_grasp(scene: PointCloudScene, instance_id: int,
     if not valid:
         raise NoPoseError("no sampled body placement is valid",
                           reason="no-valid-pose")
-    return GraspPlan(kept, bodies, select_best(kept, valid, centroid, weights))
+    selection = select_best(kept, valid, centroid, config.optimizer)
+    return GraspPlan(kept, bodies, selection)
 
 
 def perceive_drawers(frames: Iterable[DetectionFrame], drawer_cfg: DrawerConfig,

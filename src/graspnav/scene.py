@@ -318,7 +318,10 @@ def _parse_instance(record: dict, n_points: int, dim: int,
                                         "point_indices"), dtype=np.int64)
         embedding = decode_value(tuple[float, ...] | None,
                                  record.get("embedding"), "embedding")
-    except (KeyError, ConfigError) as exc:
+    except KeyError as exc:
+        raise FileFormatError(f"{path}: malformed instance record:"
+                              f" missing required key {exc}") from exc
+    except ConfigError as exc:
         raise FileFormatError(f"{path}: malformed instance record: {exc}") from exc
     except OverflowError:       # an integer index that int64 cannot hold
         raise FileFormatError(f"{path}: point_indices exceed int64") from None

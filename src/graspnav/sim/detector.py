@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import NoiseModel
 from ..drawer import Detection2D
 from ..geometry import BBox2D, CameraIntrinsics, Pose, project_many
-from .noise import NoiseModel
 from .primitives import Box, aabb_corners
 from .scenegen import PlacedCabinet
 

@@ -24,18 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..codec import JsonCodec
-from ..drawer import DetectionFrame, DrawerConfig, plan_pull, refine_target
-from ..errors import ConfigError, InvalidAxisError, StageError
-from ..geometry import CameraIntrinsics, Pose, farthest_point_sample, look_at
-from ..grasp import (GraspBatch, GraspCandidate, GraspConfig, sweep_pose,
-                     sweep_rotations)
-from ..nav import NavConfig
-from ..optimizer import OptimizerWeights
+from ..config import RunConfig, SimConfig
+from ..drawer import DetectionFrame, plan_pull, refine_target
+from ..errors import InvalidAxisError, StageError
+from ..geometry import Pose, farthest_point_sample, look_at
+from ..grasp import GraspBatch, GraspCandidate, sweep_pose, sweep_rotations
 from ..pipeline import STAGE_ERRORS, STAGES, perceive_drawers, plan_grasp
 from ..scene import PointCloudScene
 from .detector import detect_boxes
-from .noise import NoiseModel
 from .render import add_depth_noise, render_depth, trace_depth
 from .scenegen import (PlacedObject, SceneSpec, SyntheticScene,
                        default_grasp_spec, default_search_spec, generate_scene)
@@ -52,58 +48,6 @@ def derive_seed(root: int, *indices: int) -> int:
     """
     entropy = (len(indices), int(root)) + tuple(int(i) for i in indices)
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
-
-
-# ---------------------------------------------------------------------------
-# Config
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimConfig(JsonCodec):
-    """Camera, viewpoint, tolerance, and difficulty settings."""
-
-    image_width: int = 160
-    image_height: int = 120
-    focal: float = 130.0
-    n_views: int = 4
-    view_candidates: int = 12
-    view_span_deg: float = 120.0
-    view_radius: float = 1.5
-    grasp_success_tol: float = 0.02
-    axis_tol_deg: float = 5.0
-    handle_tol: float = 0.03
-    close_looks: int = 3
-    tier_noise_easy: float = 1.0
-    tier_noise_medium: float = 2.0
-    tier_noise_hard: float = 4.0
-
-    def __post_init__(self):
-        if self.image_width < 8 or self.image_height < 8:
-            raise ConfigError("image size must be at least 8 x 8")
-        for name in ("focal", "view_radius", "grasp_success_tol", "axis_tol_deg",
-                     "handle_tol", "tier_noise_easy", "tier_noise_medium",
-                     "tier_noise_hard"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_views < 1 or self.view_candidates < self.n_views:
-            raise ConfigError("need view_candidates >= n_views >= 1")
-        if self.close_looks < 1:
-            raise ConfigError(f"close_looks must be >= 1, got {self.close_looks}")
-        if not 0.0 < self.view_span_deg <= 360.0:
-            raise ConfigError(
-                f"view_span_deg must be in (0, 360], got {self.view_span_deg}")
-
-    @property
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(fx=self.focal, fy=self.focal,
-                                cx=(self.image_width - 1) / 2.0,
-                                cy=(self.image_height - 1) / 2.0,
-                                width=self.image_width, height=self.image_height)
-
-    def tier_sigma(self, tier: str, depth_sigma: float) -> float:
-        factor = {"easy": self.tier_noise_easy, "medium": self.tier_noise_medium,
-                  "hard": self.tier_noise_hard}[tier]
-        return depth_sigma * factor
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +124,7 @@ def _sweep_sector(approach: np.ndarray, count: int) -> int:
 
 
 def _propose_grasps(target: PlacedObject, scene: PointCloudScene,
-                    grasp_cfg: GraspConfig, sim: SimConfig, noise: NoiseModel,
+                    config: RunConfig,
                     rng: np.random.Generator) -> list[GraspBatch]:
     """Simulated sweep detections: ground truth perturbed by tiered noise.
 
@@ -190,8 +134,9 @@ def _propose_grasps(target: PlacedObject, scene: PointCloudScene,
     as real sweep batches arrive.
     """
     centroid = scene.centroid_of(target.instance_id)
-    rotations = sweep_rotations(grasp_cfg.sweep_count)
-    sigma = sim.tier_sigma(target.tier, noise.depth_sigma)
+    noise, sweep_count = config.noise, config.grasp.sweep_count
+    rotations = sweep_rotations(sweep_count)
+    sigma = config.sim.tier_sigma(target.tier, noise.depth_sigma)
     lo, hi = noise.confidence_range
     per_sweep: list[list[GraspCandidate]] = [[] for _ in rotations]
     for truth in target.truth_grasps:
@@ -202,7 +147,7 @@ def _propose_grasps(target: PlacedObject, scene: PointCloudScene,
             continue
         center = truth.center + sigma * offset
         world = Pose(_approach_rotation(truth.approach), center)
-        sector = _sweep_sector(truth.approach, grasp_cfg.sweep_count)
+        sector = _sweep_sector(truth.approach, sweep_count)
         sweep = sweep_pose(rotations[sector], centroid)
         per_sweep[sector].append(GraspCandidate(
             pose=sweep.compose(world), width=truth.width, score=conf))
@@ -211,18 +156,9 @@ def _propose_grasps(target: PlacedObject, scene: PointCloudScene,
 
 def run_grasp_episode(synth: SyntheticScene, target: PlacedObject,
                       seed: int, index: int = 0,
-                      sim: SimConfig | None = None,
-                      noise: NoiseModel | None = None,
-                      nav: NavConfig | None = None,
-                      grasp_cfg: GraspConfig | None = None,
-                      weights: OptimizerWeights | None = None) -> EpisodeReport:
+                      config: RunConfig = RunConfig()) -> EpisodeReport:
     """Locate the target by embedding, propose and filter grasps, place the
     body, and execute the jointly selected grasp against ground truth."""
-    sim = sim or SimConfig()
-    noise = noise or NoiseModel()
-    nav = nav or NavConfig()
-    grasp_cfg = grasp_cfg or GraspConfig()
-    weights = weights or OptimizerWeights()
     scene = synth.scene
     details: dict = {}
     rng = np.random.default_rng(seed)
@@ -241,15 +177,15 @@ def run_grasp_episode(synth: SyntheticScene, target: PlacedObject,
     details["similarity"] = float(top.similarity)
     if top.instance_id != target.instance_id:
         return report("localization", "wrong-instance")
-    if top.similarity < grasp_cfg.min_similarity:
+    if top.similarity < config.grasp.min_similarity:
         return report("localization", "low-similarity")
 
     # detection and navigation: noisy sweep proposals filtered onto the
     # object, ring placements validated, then the joint selection
-    sweeps = _propose_grasps(target, scene, grasp_cfg, sim, noise, rng)
+    sweeps = _propose_grasps(target, scene, config, rng)
     try:
-        plan = plan_grasp(scene, target.instance_id, sweeps, grasp_cfg, nav,
-                          weights, counts=details)
+        plan = plan_grasp(scene, target.instance_id, sweeps, config,
+                          counts=details)
     except StageError as exc:
         return report(STAGE_ERRORS[type(exc)][0], exc.reason)
 
@@ -259,7 +195,7 @@ def run_grasp_episode(synth: SyntheticScene, target: PlacedObject,
     grasp_error = float(errs.min())
     details["selected_score"] = float(plan.selection.s)
     details["grasp_error"] = grasp_error
-    if grasp_error > sim.grasp_success_tol:
+    if grasp_error > config.sim.grasp_success_tol:
         return report("manipulation", "grasp-off-target")
     return report()
 
@@ -289,16 +225,11 @@ def _view_poses(synth: SyntheticScene, sim: SimConfig,
 
 
 def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
-                       sim: SimConfig | None = None,
-                       noise: NoiseModel | None = None,
-                       nav: NavConfig | None = None,
-                       drawer_cfg: DrawerConfig | None = None) -> EpisodeReport:
+                       config: RunConfig = RunConfig()) -> EpisodeReport:
     """Find the cabinet, fuse multi-view drawer estimates, plan the pull,
     and check the refined estimate of the item's drawer against truth."""
-    sim = sim or SimConfig()
-    noise = noise or NoiseModel()
-    nav = nav or NavConfig()
-    drawer_cfg = drawer_cfg or DrawerConfig()
+    sim, noise, nav, drawer_cfg = (config.sim, config.noise, config.nav,
+                                   config.drawer)
     if synth.cabinet is None:
         raise ValueError("search episodes need a scene with a cabinet")
     cabinet = synth.cabinet
@@ -380,11 +311,7 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
                                   seed=derive_seed(seed, 41, look_i))
         close_frame = DetectionFrame(intrinsics=intr, cam_pose=close_pose,
                                      depth=close_depth, detections=close_dets)
-        look, ok = refine_target(estimate, close_frame,
-                                 gate_radius=drawer_cfg.gate_radius,
-                                 kappa=drawer_cfg.kappa,
-                                 ioa_min=drawer_cfg.ioa_min,
-                                 ransac=drawer_cfg.ransac,
+        look, ok = refine_target(estimate, close_frame, drawer_cfg,
                                  seed=derive_seed(seed, 42, look_i))
         if ok:
             centers.append(look.handle_center)
@@ -450,11 +377,7 @@ def summarize(reports: list[EpisodeReport], config: dict | None = None) -> dict:
 
 def run_grasp_batch(n_episodes: int, base_seed: int,
                     spec: SceneSpec | None = None,
-                    sim: SimConfig | None = None,
-                    noise: NoiseModel | None = None,
-                    nav: NavConfig | None = None,
-                    grasp_cfg: GraspConfig | None = None,
-                    weights: OptimizerWeights | None = None,
+                    config: RunConfig = RunConfig(),
                     ) -> tuple[list[EpisodeReport], dict]:
     """Seeded grasp episodes cycling through the spec's objects."""
     spec = spec or default_grasp_spec()
@@ -466,16 +389,13 @@ def run_grasp_batch(n_episodes: int, base_seed: int,
         target = synth.objects[i % len(synth.objects)]
         reports.append(run_grasp_episode(
             synth, target, seed=derive_seed(base_seed, i, 1), index=i,
-            sim=sim, noise=noise, nav=nav, grasp_cfg=grasp_cfg, weights=weights))
+            config=config))
     return reports, summarize(reports)
 
 
 def run_search_batch(n_episodes: int, base_seed: int,
                      spec: SceneSpec | None = None,
-                     sim: SimConfig | None = None,
-                     noise: NoiseModel | None = None,
-                     nav: NavConfig | None = None,
-                     drawer_cfg: DrawerConfig | None = None,
+                     config: RunConfig = RunConfig(),
                      ) -> tuple[list[EpisodeReport], dict]:
     """Seeded drawer-search episodes over regenerated scenes."""
     spec = spec or default_search_spec()
@@ -485,6 +405,5 @@ def run_search_batch(n_episodes: int, base_seed: int,
     for i in range(n_episodes):
         synth = generate_scene(spec, seed=derive_seed(base_seed, i, 0))
         reports.append(run_search_episode(
-            synth, seed=derive_seed(base_seed, i, 1), index=i,
-            sim=sim, noise=noise, nav=nav, drawer_cfg=drawer_cfg))
+            synth, seed=derive_seed(base_seed, i, 1), index=i, config=config))
     return reports, summarize(reports)

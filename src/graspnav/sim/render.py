@@ -7,8 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..config import NoiseModel
 from ..geometry import CameraIntrinsics, Pose, project_many
-from .noise import NoiseModel
 from .primitives import aabb_corners
 
 # Corners closer to the camera plane than this project unstably, so a

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from graspnav.cli import main
+from graspnav.config import RunConfig
 from graspnav.drawer import (BBox2D, Detection2D, assignment_costs, ioa,
                              solve_assignment)
 from graspnav.geometry import (CameraIntrinsics, Pose, RansacParams,
@@ -270,8 +271,8 @@ def test_search_batch_reference_noise_success_band():
 
 
 def test_search_batch_noiseless_is_perfect():
-    reports, summary = run_search_batch(200, base_seed=42,
-                                        noise=NoiseModel.noiseless())
+    reports, summary = run_search_batch(
+        200, base_seed=42, config=RunConfig(noise=NoiseModel.noiseless()))
     assert summary["success_rate"] == 1.0, summary
 
 
@@ -289,8 +290,8 @@ def test_grasp_batch_tier_difficulty_is_monotone():
 
 
 def test_grasp_batch_noiseless_easy_tier_is_perfect():
-    reports, summary = run_grasp_batch(200, base_seed=42,
-                                       noise=NoiseModel.noiseless())
+    reports, summary = run_grasp_batch(
+        200, base_seed=42, config=RunConfig(noise=NoiseModel.noiseless()))
     easy = summary["per_tier"]["easy"]
     assert easy["successes"] == easy["episodes"], summary["per_tier"]
 

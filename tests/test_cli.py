@@ -465,6 +465,16 @@ BOUNDARY_PROBES = [
     ("query", b"[\xff\xfe]", "query.json"),
     ("frames", b"{intrinsics", "frames.json"),
     ("frames", b"{\"cam_pose\": \"\xff\"}", "frames.json"),
+    ("grasps", {"rotation": _IDENTITY, "candidates": [
+        {k: v for k, v in _CANDIDATE.items() if k != "width"}]},
+     "candidate 0: missing required key 'width'"),
+    ("instances", {"embedding_dim": 2,
+                   "instances": [{"label": "mug", "confidence": 0.9,
+                                  "point_indices": [0, 1]}]},
+     "malformed instance record: missing required key 'id'"),
+    ("frames", {**_FRAME, "detections": [{"class": "handle",
+                                          "confidence": 0.9}]},
+     "detection 0: missing required key 'bbox'"),
 ]
 
 

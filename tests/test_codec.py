@@ -151,6 +151,31 @@ def test_flat_list_bulk_path_matches_per_item_path(hint, text):
     assert whole == one_by_one
 
 
+_ROTATION = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("index, item", [
+    (None, None), (1, 0), (4, True), (8, math.nan), (3, "0")])
+def test_fixed_length_bulk_path_matches_per_item_path(index, item):
+    """A fixed-length list of one hinted type takes the bulk path when every
+    item has that type, and equals the items decoded one by one."""
+    items = list(_ROTATION)
+    if index is not None:
+        items[index] = item
+    whole = _outcome(lambda: decode_value(tuple[(float,) * 9], items,
+                                          "rotation"))
+    one_by_one = _outcome(lambda: tuple(
+        decode_value(float, v, f"rotation[{i}]") for i, v in enumerate(items)))
+    assert whole == one_by_one
+    if isinstance(item, str):
+        assert whole.startswith("rotation[3]: expected a finite number")
+
+
+def test_fixed_length_is_checked_before_the_items():
+    with pytest.raises(ConfigError, match=r"^bbox: expected 4 values, got 3$"):
+        decode_value(tuple[float, float, float, float], [1.0, 2.0, "x"], "bbox")
+
+
 class TestReadJsonObject:
     def test_reads_object(self, tmp_path):
         path = tmp_path / "x.json"

@@ -8,6 +8,7 @@ synthesized from a known plane equation.
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -524,6 +525,23 @@ class TestFrameIO:
         doc["depth_file"] = "."
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match=r"depth file not found: \."):
+            load_detection_frame(path)
+
+    @pytest.mark.parametrize("where", ["absolute", "parent", "sub"])
+    def test_depth_file_with_a_directory_part_is_rejected(self, tmp_path,
+                                                          where):
+        """Only a file next to the frame is read, even when the named file
+        exists and holds valid depth."""
+        folder = tmp_path / "frames"
+        folder.mkdir()
+        path = folder / "frame.json"
+        name = {"absolute": str(tmp_path / "abs" / "d.bin"),
+                "parent": "../d.bin", "sub": "sub/d.bin"}[where]
+        (folder / name).parent.mkdir(exist_ok=True)
+        write_detection_frame(path, self.sample_frame(), depth_file=name)
+        assert (folder / name).is_file()
+        with pytest.raises(FileFormatError,
+                           match=f"bare file name, got {re.escape(repr(name))}"):
             load_detection_frame(path)
 
     def test_negative_depth(self, tmp_path):

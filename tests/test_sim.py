@@ -598,7 +598,8 @@ class TestGraspEpisode:
         synth = generate_scene(default_grasp_spec(), seed=4)
         noiseless = NoiseModel.noiseless()
         for obj in synth.objects:
-            rep = run_grasp_episode(synth, obj, seed=9, noise=noiseless)
+            rep = run_grasp_episode(synth, obj, seed=9,
+                                    config=RunConfig(noise=noiseless))
             assert rep.success, (obj.tier, rep.details)
             assert [s.status for s in rep.stages] == ["pass"] * 4
             assert rep.details["grasp_error"] == pytest.approx(0.0, abs=1e-9)
@@ -614,7 +615,7 @@ class TestGraspEpisode:
         ))
         synth = generate_scene(spec, seed=0)
         rep = run_grasp_episode(synth, synth.objects[1], seed=0,
-                                noise=NoiseModel.noiseless())
+                                config=RunConfig(noise=NoiseModel.noiseless()))
         assert not rep.success
         assert rep.failure_stage() == "localization"
         assert rep.stages[0].reason == "wrong-instance"
@@ -623,7 +624,8 @@ class TestGraspEpisode:
     def test_full_dropout_fails_detection(self):
         synth = generate_scene(default_grasp_spec(), seed=4)
         noise = NoiseModel(depth_sigma=0.0, detection_dropout=1.0)
-        rep = run_grasp_episode(synth, synth.objects[0], seed=9, noise=noise)
+        rep = run_grasp_episode(synth, synth.objects[0], seed=9,
+                                config=RunConfig(noise=noise))
         assert not rep.success
         assert rep.failure_stage() == "detection"
         assert rep.stages[1].reason == "no-proposals"
@@ -631,7 +633,7 @@ class TestGraspEpisode:
     def test_report_json_excludes_timings(self):
         synth = generate_scene(default_grasp_spec(), seed=4)
         rep = run_grasp_episode(synth, synth.objects[0], seed=9,
-                                noise=NoiseModel.noiseless())
+                                config=RunConfig(noise=NoiseModel.noiseless()))
         payload = json.loads(rep.to_json_line())
         assert "timings_ms" not in payload
         assert payload["task"] == "grasp"
@@ -641,7 +643,8 @@ class TestGraspEpisode:
 class TestSearchEpisode:
     def test_noiseless_succeeds(self):
         synth = generate_scene(default_search_spec(), seed=3)
-        rep = run_search_episode(synth, seed=7, noise=NoiseModel.noiseless())
+        rep = run_search_episode(synth, seed=7,
+                                 config=RunConfig(noise=NoiseModel.noiseless()))
         assert rep.success, rep.details
         assert [s.status for s in rep.stages] == ["pass"] * 4
         assert rep.details["axis_error_deg"] == pytest.approx(0.0, abs=1e-6)
@@ -650,7 +653,7 @@ class TestSearchEpisode:
     def test_full_detection_dropout_fails_detection(self):
         synth = generate_scene(default_search_spec(), seed=3)
         noise = NoiseModel(detection_dropout=1.0)
-        rep = run_search_episode(synth, seed=7, noise=noise)
+        rep = run_search_episode(synth, seed=7, config=RunConfig(noise=noise))
         assert not rep.success
         assert rep.failure_stage() == "detection"
         assert rep.stages[1].reason == "no-detections"
@@ -683,14 +686,10 @@ def test_episode_failure_stage_and_reason(task, overrides, stage, reason):
     if task == "grasp":
         synth = generate_scene(default_grasp_spec(), seed=4)
         rep = run_grasp_episode(synth, synth.objects[0], seed=9,
-                                sim=config.sim, noise=config.noise,
-                                nav=config.nav, grasp_cfg=config.grasp,
-                                weights=config.optimizer)
+                                config=config)
     else:
         synth = generate_scene(default_search_spec(), seed=3)
-        rep = run_search_episode(synth, seed=7, sim=config.sim,
-                                 noise=config.noise, nav=config.nav,
-                                 drawer_cfg=config.drawer)
+        rep = run_search_episode(synth, seed=7, config=config)
     assert not rep.success
     assert rep.failure_stage() == stage
     failed = STAGES.index(stage)
@@ -715,8 +714,8 @@ class TestBatchesAndSummary:
             rep.to_json_line()
 
     def test_grasp_batch_cycles_targets(self):
-        reports, summary = run_grasp_batch(6, base_seed=5,
-                                           noise=NoiseModel.noiseless())
+        reports, summary = run_grasp_batch(
+            6, base_seed=5, config=RunConfig(noise=NoiseModel.noiseless()))
         assert [r.query for r in reports] == ["crate", "bottle", "stick"] * 2
         assert summary["episodes"] == 6
         assert summary["successes"] == 6
@@ -724,7 +723,8 @@ class TestBatchesAndSummary:
 
     def test_summary_conserves_episodes(self):
         noise = NoiseModel(depth_sigma=0.02, detection_dropout=0.3)
-        reports, summary = run_grasp_batch(12, base_seed=1, noise=noise)
+        reports, summary = run_grasp_batch(12, base_seed=1,
+                                           config=RunConfig(noise=noise))
         total = summary["successes"] + sum(summary["stage_failures"].values())
         assert total == summary["episodes"] == 12
         assert summary["conserved"]
