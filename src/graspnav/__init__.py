@@ -8,6 +8,8 @@ Subsystems:
     optimizer  joint grasp / body-pose selection
     drawer     handle-drawer matching, axis estimation, view fusion, pull plans
     config     the run config: one section per stage, simulator included
+    codec      JSON in both directions: typed decoding of every input file,
+               one writer for every report and output file
     pipeline   the planning stages the CLI and the simulator share
     sim        deterministic synthetic scenes, depth rendering, episode runner
     cli        command-line front end

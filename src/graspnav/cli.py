@@ -18,13 +18,13 @@ adding a consumer never shifts the draws of another.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .codec import decode_value, read_json_object
+from .codec import decode_value, read_json_object, to_json
 from .config import RunConfig, load_run_config
 from .drawer import load_detection_frame
 from .errors import (ConfigError, FileFormatError, GraspNavError,
@@ -90,38 +90,25 @@ def _resolve_config(path: str | None) -> RunConfig:
     return load_run_config(path) if path else RunConfig()
 
 
-def _json_text(doc: dict) -> str:
-    """Sorted, indented JSON; NaN and infinity raise ValueError, since
-    JSON has no such values."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def _emit(report: dict, out: str | None) -> None:
-    text = _json_text(report)
+    text = to_json(report, indent=2)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _pose_dict(pose) -> dict:
-    return {"translation": [float(x) for x in pose.translation],
-            "rotation": [float(x) for x in pose.rotation.reshape(-1)]}
-
-
 def _body_dict(index: int, body) -> dict:
-    return {"index": index,
-            "position": [float(body.position[0]), float(body.position[1])],
-            "yaw": float(body.yaw), "valid": body.valid, "reason": body.reason,
-            "s_body": None if body.s_body is None else float(body.s_body),
-            "d_obstacles": (None if body.d_obstacles is None
-                            else float(body.d_obstacles)),
-            "d_item": None if body.d_item is None else float(body.d_item)}
+    return {"index": index, "position": body.position, "yaw": body.yaw,
+            "valid": body.valid, "reason": body.reason, "s_body": body.s_body,
+            "d_obstacles": body.d_obstacles, "d_item": body.d_item}
 
 
 def _grasp_dict(index: int, grasp) -> dict:
-    return {"index": index, "pose": _pose_dict(grasp.pose),
-            "width": float(grasp.width), "score": float(grasp.score),
+    return {"index": index,
+            "pose": {"translation": grasp.pose.translation,
+                     "rotation": grasp.pose.rotation.reshape(-1)},
+            "width": grasp.width, "score": grasp.score,
             "source_rotation": grasp.source_rotation}
 
 
@@ -136,11 +123,10 @@ def cmd_query(args) -> int:
     results = scene.query_instance(query)
     report = {
         "command": "query",
-        "config": config.to_dict(),
+        "config": config,
         "results": [{"instance_id": r.instance_id,
                      "label": scene.instance(r.instance_id).label,
-                     "similarity": float(r.similarity),
-                     "centroid": [float(x) for x in r.centroid]}
+                     "similarity": r.similarity, "centroid": r.centroid}
                     for r in results],
     }
     _emit(report, args.out)
@@ -163,14 +149,14 @@ def cmd_plan_grasp(args) -> int:
     selection = plan.selection
     report = {
         "command": "plan-grasp",
-        "config": config.to_dict(),
+        "config": config,
         "localization": {"instance_id": top.instance_id,
                          "label": scene.instance(top.instance_id).label,
-                         "similarity": float(top.similarity),
-                         "centroid": [float(x) for x in top.centroid]},
+                         "similarity": top.similarity,
+                         "centroid": top.centroid},
         "grasps": [_grasp_dict(i, g) for i, g in enumerate(plan.grasps)],
         "bodies": [_body_dict(i, b) for i, b in enumerate(plan.bodies)],
-        "selection": {**selection.to_dict(),
+        "selection": {**dataclasses.asdict(selection),
                       "grasp": _grasp_dict(selection.grasp_index, plan.grasp),
                       "body": _body_dict(selection.body_index, plan.body)},
     }
@@ -185,11 +171,11 @@ def cmd_match_drawers(args) -> int:
         lambda frame_i, pair_i: derive_seed(args.seed, frame_i, pair_i))
     report = {
         "command": "match-drawers",
-        "config": config.to_dict(),
+        "config": config,
         "seed": args.seed,
         "frames": [{"frame": str(path), **counts}
                    for path, counts in zip(args.frames, per_frame)],
-        "targets": [t.to_dict() for t in fused],
+        "targets": fused,
     }
     _emit(report, args.out)
     return EXIT_OK
@@ -209,14 +195,12 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     episodes_path = out_dir / "episodes.ndjson"
-    with open(episodes_path, "w", encoding="utf-8") as fh:
-        for rep in reports:
-            fh.write(rep.to_json_line() + "\n")
+    episodes_path.write_text("".join(map(to_json, reports)), encoding="utf-8")
     summary_doc = {"command": "simulate", "task": args.task,
-                   "seed": args.seed, "spec": spec.to_dict(),
-                   "config": config.to_dict(), **summary}
+                   "seed": args.seed, "spec": spec, "config": config,
+                   **summary}
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(_json_text(summary_doc), encoding="utf-8")
+    summary_path.write_text(to_json(summary_doc, indent=2), encoding="utf-8")
     print(f"{args.task} batch: {summary['successes']}/{summary['episodes']}"
           f" succeeded (rate {summary['success_rate']:.3f})")
     print(f"wrote {episodes_path} and {summary_path}")

@@ -1,5 +1,6 @@
-"""One JSON codec for every config and scene-spec dataclass, and for the
-values of every JSON input file.
+"""JSON in both directions: one codec for every config and scene-spec
+dataclass, for the values of every JSON input file, and one writer for
+every report and output file.
 
 A dataclass that subclasses `JsonCodec` gets `to_dict` and `from_dict`
 driven by its fields and their type hints. Decoding checks JSON input
@@ -14,6 +15,10 @@ in each class's `__post_init__`, because Python callers construct these
 types directly; a `ValueError` or `ConfigError` raised there is re-raised
 as a `ConfigError` carrying the path. File loaders read with
 `read_json_object` and check each value with `decode_value`.
+
+Every file graspnav writes goes through `to_json`: keys sorted, NaN and
+infinity rejected, arrays written as lists and dataclasses as objects of
+their fields, so the same values always give the same bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import json
 import math
 import types
 import typing
+
+import numpy as np
 
 from .errors import ConfigError, FileFormatError
 
@@ -57,6 +64,23 @@ def read_json_object(path, what: str, or_list: bool = False) -> dict | list:
         raise FileFormatError(f"{what} {path} must hold a JSON object"
                               + (" or list" if or_list else ""))
     return raw
+
+
+def to_json(value, indent: int | None = None) -> str:
+    """Sorted-key JSON text of `value` ending in a newline. NaN and
+    infinity raise ValueError, since JSON has no such values."""
+    return json.dumps(value, sort_keys=True, allow_nan=False, indent=indent,
+                      default=_plain) + "\n"
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _encode(value):

@@ -19,7 +19,6 @@ a straight pull segment, or refined from a close-range frame.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .codec import JsonCodec, decode_value, read_json_object
+from .codec import JsonCodec, decode_value, read_json_object, to_json
 from .errors import (ConfigError, DegenerateBBoxError, DegenerateInputError,
                      FileFormatError, GraspNavError, InvalidAxisError,
                      MissingDepthError, NoPlaneFoundError)
@@ -136,13 +135,6 @@ class DrawerTarget:
     supporting_views: int
     plane_inliers: int
     total_confidence: float
-
-    def to_dict(self) -> dict:
-        return {"handle_center": [float(x) for x in self.handle_center],
-                "axis": [float(x) for x in self.axis],
-                "supporting_views": self.supporting_views,
-                "plane_inliers": self.plane_inliers,
-                "total_confidence": self.total_confidence}
 
 
 @dataclass(frozen=True)
@@ -498,12 +490,10 @@ def write_detection_frame(path: str | Path, frame: DetectionFrame,
     path = Path(path)
     if depth_file is None:
         depth_file = path.stem + ".depth.bin"
-    doc = {
-        "intrinsics": frame.intrinsics.to_dict(),
-        "cam_pose": [float(x) for x in frame.cam_pose.matrix().reshape(-1)],
-        "depth_file": depth_file,
-        "detections": [d.to_dict() for d in frame.detections],
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = to_json({"intrinsics": frame.intrinsics,
+                    "cam_pose": frame.cam_pose.matrix().reshape(-1),
+                    "depth_file": depth_file,
+                    "detections": [d.to_dict() for d in frame.detections]},
+                   indent=2)
     frame.depth.astype("<f4").tofile(path.parent / depth_file)
     path.write_text(text)

@@ -45,13 +45,16 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 
 
 class Pose:
-    """Rigid transform: p_out = rotation @ p_in + translation."""
+    """Rigid transform: p_out = rotation @ p_in + translation.
+
+    Both arrays are read-only copies, so a pose stays the proper rotation
+    its constructor checked."""
 
     __slots__ = ("rotation", "translation")
 
     def __init__(self, rotation: np.ndarray, translation: np.ndarray):
-        rot = np.asarray(rotation, dtype=np.float64)
-        tra = np.asarray(translation, dtype=np.float64).reshape(-1)
+        rot = np.array(rotation, dtype=np.float64)
+        tra = np.array(translation, dtype=np.float64).reshape(-1)
         if rot.shape != (3, 3):
             raise InvalidRotationError(f"rotation must be 3x3, got {rot.shape}")
         if tra.shape != (3,):
@@ -62,6 +65,8 @@ class Pose:
         det = float(np.linalg.det(rot))
         if abs(det - 1.0) > ROTATION_TOL:
             raise InvalidRotationError(f"matrix is not a proper rotation (det = {det:.9f})")
+        rot.setflags(write=False)
+        tra.setflags(write=False)
         self.rotation = rot
         self.translation = tra
 

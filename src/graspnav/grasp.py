@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 from .codec import JsonCodec, decode_value, read_json_object
 from .errors import (ConfigError, DegenerateInputError, FileFormatError,
                      InvalidRotationError)
-from .geometry import ROTATION_TOL, Pose, rotation_about_z
+from .geometry import Pose, rotation_about_z
 
 DEFAULT_ON_OBJECT_TOL = 0.02
 DEFAULT_SWEEP_COUNT = 4
@@ -142,11 +142,6 @@ def merge_rotation_sweeps(
     """
     merged: list[GraspCandidate] = []
     for batch_idx, (rotation_pose, candidates) in enumerate(batches):
-        rot = rotation_pose.rotation
-        err = np.max(np.abs(rot @ rot.T - np.eye(3)))
-        if err > ROTATION_TOL or abs(float(np.linalg.det(rot)) - 1.0) > ROTATION_TOL:
-            raise InvalidRotationError(
-                f"batch {batch_idx} rotation is not orthonormal (error {err:.3g})")
         inverse = rotation_pose.inverse()
         for cand in candidates:
             merged.append(replace(cand, pose=inverse.compose(cand.pose),

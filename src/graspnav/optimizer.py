@@ -56,15 +56,6 @@ class JointSelection:
     s_body: float
     s_align: float
 
-    @property
-    def components(self) -> tuple[float, float, float]:
-        return (self.s_grasp, self.s_body, self.s_align)
-
-    def to_dict(self) -> dict:
-        return {"grasp_index": self.grasp_index, "body_index": self.body_index,
-                "s": self.s, "s_grasp": self.s_grasp, "s_body": self.s_body,
-                "s_align": self.s_align}
-
 
 def _unit_rows(v: np.ndarray, what: str) -> np.ndarray:
     norm = np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)

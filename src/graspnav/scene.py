@@ -14,12 +14,11 @@ File formats:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import decode_value, read_json_object
+from .codec import decode_value, read_json_object, to_json
 from .errors import (
     ConfigError,
     EmptySceneError,
@@ -381,21 +380,7 @@ def read_instances(path: str, n_points: int) -> tuple[list[InstanceMask], int]:
 
 
 def write_instances(path: str, instances: list[InstanceMask], embedding_dim: int) -> None:
-    doc = {
-        "embedding_dim": embedding_dim,
-        "instances": [
-            {
-                "id": inst.id,
-                "label": inst.label,
-                "confidence": inst.confidence,
-                "point_indices": [int(i) for i in inst.point_indices],
-                "embedding": None if inst.embedding is None
-                else [float(x) for x in inst.embedding],
-            }
-            for inst in instances
-        ],
-    }
-    text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    text = to_json({"embedding_dim": embedding_dim, "instances": instances})
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -18,7 +18,6 @@ loop run through ``graspnav.pipeline``, the same code as the command line.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -60,9 +59,6 @@ class StageOutcome:
     status: str = "not-reached"        # pass | fail | not-reached
     reason: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "reason": self.reason}
-
 
 @dataclass
 class EpisodeReport:
@@ -80,15 +76,6 @@ class EpisodeReport:
             if stage.status == "fail":
                 return stage.name
         return None
-
-    def to_json_dict(self) -> dict:
-        return {"task": self.task, "index": self.index, "seed": self.seed,
-                "query": self.query, "tier": self.tier,
-                "stages": [s.to_dict() for s in self.stages],
-                "success": self.success, "details": self.details}
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def _stages(failed: str | None, reason: str | None) -> list[StageOutcome]:
@@ -341,7 +328,7 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
 # Batches
 # ---------------------------------------------------------------------------
 
-def summarize(reports: list[EpisodeReport], config: dict | None = None) -> dict:
+def summarize(reports: list[EpisodeReport]) -> dict:
     """Batch roll-up: success rate with a 95% interval, stage failure
     counts that conserve episodes, and per-tier rates where tiers apply."""
     n = len(reports)
@@ -370,8 +357,6 @@ def summarize(reports: list[EpisodeReport], config: dict | None = None) -> dict:
             per_tier[tier] = {"episodes": len(sub), "successes": wins,
                               "success_rate": wins / len(sub)}
         summary["per_tier"] = per_tier
-    if config is not None:
-        summary["config"] = config
     return summary
 
 

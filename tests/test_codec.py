@@ -1,6 +1,7 @@
 """Tests for the dataclass-driven JSON codec and fuzzing of the JSON loaders."""
 
 import copy
+import dataclasses
 import json
 import math
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspnav.cli import _load_query_embedding
-from graspnav.codec import decode_value, read_json_object
+from graspnav.codec import decode_value, read_json_object, to_json
 from graspnav.config import RunConfig
 from graspnav.drawer import DrawerConfig, load_detection_frame
 from graspnav.errors import ConfigError, FileFormatError, GraspNavError
@@ -207,6 +208,46 @@ class TestReadJsonObject:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileFormatError, match="cannot read"):
             read_json_object(tmp_path / "absent.json", "config")
+
+
+@dataclasses.dataclass
+class _Inner:
+    values: np.ndarray
+
+
+@dataclasses.dataclass
+class _Outer:
+    name: str
+    inner: _Inner
+    count: np.int64
+
+
+class TestToJson:
+    def test_arrays_numpy_scalars_and_dataclasses(self):
+        value = {"z": np.array([[1.5, 2.0]]), "a": np.int32(3),
+                 "m": np.float32(0.5),
+                 "d": _Outer("o", _Inner(np.arange(2)), np.int64(7))}
+        assert to_json(value) == (
+            '{"a": 3, "d": {"count": 7, "inner": {"values": [0, 1]},'
+            ' "name": "o"}, "m": 0.5, "z": [[1.5, 2.0]]}\n')
+
+    def test_indent(self):
+        assert to_json({"b": [1], "a": None}, indent=2) == (
+            '{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n')
+
+    def test_nan_inside_an_array_is_rejected(self):
+        with pytest.raises(ValueError):
+            to_json({"x": np.array([0.0, math.nan])})
+
+    def test_unknown_type_is_rejected(self):
+        with pytest.raises(TypeError, match="set"):
+            to_json({"x": {1, 2}})
+        with pytest.raises(TypeError):
+            to_json(_Inner)                # a dataclass type, not a value
+
+    @pytest.mark.parametrize("value", [RunConfig(), default_search_spec()])
+    def test_codec_dataclasses_match_to_dict(self, value):
+        assert to_json(value) == json.dumps(value.to_dict(), sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,17 @@ class TestPose:
         with pytest.raises(InvalidRotationError):
             Pose(bad, np.zeros(3))
 
+    def test_arrays_are_read_only(self):
+        # a pose cannot be mutated behind the constructor's rotation check
+        rotation, translation = np.eye(3), np.zeros(3)
+        pose = Pose(rotation, translation)
+        with pytest.raises(ValueError):
+            pose.rotation[0, 0] = 1.5
+        with pytest.raises(ValueError):
+            pose.translation[0] = 1.0
+        rotation[0, 0] = 1.5               # the pose holds copies
+        assert pose.rotation[0, 0] == 1.0
+
     def test_rejects_reflection(self):
         # orthonormal but det = -1
         flip = np.diag([1.0, 1.0, -1.0])

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from graspnav.errors import DegenerateInputError, FileFormatError, InvalidRotationError
+from graspnav.errors import DegenerateInputError, FileFormatError
 from graspnav.geometry import Pose, rotation_about_z
 from graspnav.grasp import (
     GraspCandidate,
@@ -95,12 +95,6 @@ class TestMergeRotationSweeps:
             d_before = np.linalg.norm(before.center - centroid)
             d_after = np.linalg.norm(after.center - centroid)
             assert d_after == pytest.approx(d_before, abs=1e-9)
-
-    def test_non_orthonormal_rotation_rejected(self):
-        pose = Pose.identity()
-        pose.rotation[0, 0] = 1.5  # mutate behind the constructor's back
-        with pytest.raises(InvalidRotationError):
-            merge_rotation_sweeps([(pose, [_candidate([0, 0, 0])])])
 
 
 class TestFilterGrasps:

