@@ -42,7 +42,7 @@ from .sim.scenegen import (default_grasp_spec, default_search_spec,
 _EXIT_CODES_HELP = """\
 exit codes:
   0  success
-  1  parse or validation failure (arguments, files, config)
+  1  parse or validation failure (arguments, files, config), or out of memory
   2  query unsupported: no instance in the scene carries an embedding
   3  localization failed: query matched no usable instance
   4  grasp filtering left no usable candidate
@@ -286,6 +286,10 @@ def main(argv=None) -> int:
     except (GraspNavError, ValueError, OSError) as exc:
         print(f"graspnav: {exc}", file=sys.stderr)
         return STAGE_ERRORS.get(type(exc), (None, EXIT_PARSE))[1]
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"graspnav: out of memory{detail}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -36,6 +36,10 @@ ZERO_LENGTH_SQ = 1e-24
 _RANSAC_CHUNK = 16  # hypothesis planes scored per block between stopping tests
 _RANSAC_CONFIDENCE = 0.999  # Fischler-Bolles confidence at which scoring stops
 
+_SIGHT_SPACING = 0.05  # m; line-of-sight samples lie at most this far apart
+_SIGHT_MARGIN = 1e-9  # m; keeps the sampled sight decisions clear of rounding
+_SIGHT_MAX_SAMPLES = 10_000  # longer segments skip sampling for the exact test
+
 
 def _as_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
@@ -239,12 +243,17 @@ class RansacParams(JsonCodec):
 
 
 class PointIndex:
-    """Immutable nearest-neighbor index over an (N, 3) point set."""
+    """Immutable nearest-neighbor index over an (N, 3) point set.
+
+    The kd-tree splits at sliding midpoints (``balanced_tree=False``),
+    which builds faster than median splits; queries are exact either way.
+    """
 
     def __init__(self, points: np.ndarray):
         self._points = _as_points(points).copy()
         self._points.setflags(write=False)
-        self._tree = cKDTree(self._points) if len(self._points) else None
+        self._tree = (cKDTree(self._points, balanced_tree=False)
+                      if len(self._points) else None)
 
     @property
     def points(self) -> np.ndarray:
@@ -253,12 +262,20 @@ class PointIndex:
     def __len__(self) -> int:
         return len(self._points)
 
-    def nearest(self, point: np.ndarray) -> tuple[float, int]:
-        """Distance and index of the closest stored point."""
+    def nearest(self, point: np.ndarray, distance_upper_bound: float = math.inf):
+        """Distance and index of the closest stored point.
+
+        One (3,) point gives a float and an int, an (N, 3) batch two (N,)
+        arrays. A point with no stored point within `distance_upper_bound`
+        gets distance inf and index ``len(self)``.
+        """
         if self._tree is None:
             raise DegenerateInputError("index holds no points")
-        dist, idx = self._tree.query(np.asarray(point, dtype=np.float64))
-        return float(dist), int(idx)
+        dist, idx = self._tree.query(np.asarray(point, dtype=np.float64),
+                                     distance_upper_bound=distance_upper_bound)
+        if np.ndim(dist) == 0:
+            return float(dist), int(idx)
+        return dist, idx
 
     def ball(self, point: np.ndarray, radius: float) -> np.ndarray:
         """Indices of points within `radius` of `point`."""
@@ -453,45 +470,81 @@ def farthest_point_sample(candidates: np.ndarray, k: int, start_index: int = 0) 
     return chosen
 
 
-def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
-                  obstacles: "PointIndex | np.ndarray", clearance: float,
-                  target_exclusion: float = 0.0) -> bool:
-    """True when the open segment keeps `clearance` from every obstacle.
-
-    Obstacle points within `target_exclusion` of `to_point` are ignored,
-    so a target surface never blocks the view of its own center. The test
-    is an exact point-to-segment distance; a point at exactly `clearance`
-    blocks. Monotone: shrinking `clearance` never turns a clear view
-    blocked.
-    """
-    if clearance < 0:
-        raise ValueError(f"clearance must be nonnegative, got {clearance}")
-    a = np.asarray(from_point, dtype=np.float64)
-    b = np.asarray(to_point, dtype=np.float64)
+def _segment_clear(a: np.ndarray, b: np.ndarray, obstacles: PointIndex,
+                   clearance: float) -> bool:
+    """Exact test: every indexed point is farther than `clearance` from the
+    closed segment a-b (a zero-length segment is clear)."""
     d = b - a
     seg_len_sq = float(d @ d)
     if seg_len_sq < ZERO_LENGTH_SQ:
-        return True  # empty open segment
-
-    if isinstance(obstacles, PointIndex):
-        if len(obstacles) == 0:
-            return True
-        # Prune with a ball around the segment midpoint before the exact test.
-        mid = 0.5 * (a + b)
-        radius = 0.5 * math.sqrt(seg_len_sq) + clearance + 1e-9
-        pts = obstacles.points[obstacles.ball(mid, radius)]
-    else:
-        pts = _as_points(obstacles)
+        return True
+    # Prune with a ball around the segment midpoint before the exact test.
+    mid = 0.5 * (a + b)
+    radius = 0.5 * math.sqrt(seg_len_sq) + clearance + 1e-9
+    pts = obstacles.points[obstacles.ball(mid, radius)]
     if len(pts) == 0:
         return True
-
-    if target_exclusion > 0.0:
-        keep = np.linalg.norm(pts - b, axis=1) > target_exclusion
-        pts = pts[keep]
-        if len(pts) == 0:
-            return True
-
     t = np.clip((pts - a) @ d / seg_len_sq, 0.0, 1.0)
     closest = a + t[:, None] * d
     dist_sq = np.sum((pts - closest) ** 2, axis=1)
     return bool(np.min(dist_sq) > clearance * clearance)
+
+
+def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
+                  obstacles: "PointIndex | np.ndarray", clearance: float,
+                  target_exclusion: float = 0.0) -> "bool | np.ndarray":
+    """Whether the segment from each start to `to_point` keeps `clearance`
+    from every obstacle.
+
+    `from_point` is one (3,) start, which gives a bool, or an (N, 3) batch
+    of starts, which gives an (N,) bool array. The segment is closed: an
+    obstacle's closest segment point has its parameter t clipped to
+    [0, 1], so an obstacle at exactly `clearance` from the start (or from
+    `to_point`) blocks. A zero-length segment is clear. Obstacle points
+    within `target_exclusion` of `to_point` are ignored, so a target
+    surface never blocks the view of its own center. Monotone: shrinking
+    `clearance` never turns a clear view blocked.
+
+    Every segment is sampled at most `_SIGHT_SPACING` (h) apart, so each of
+    its points lies within h/2 of a sample, and one kd-tree query finds
+    each sample's nearest obstacle within ``clearance + h/2 + margin``. A
+    segment with no obstacle in that range is clear; one with a sample
+    closer than ``clearance - margin`` is blocked. The remaining segments
+    (and near-zero or very long ones) get `_segment_clear`, the exact
+    point-to-segment test, so every flag equals the exact test's.
+    """
+    if clearance < 0:
+        raise ValueError(f"clearance must be nonnegative, got {clearance}")
+    starts = np.asarray(from_point, dtype=np.float64)
+    single = starts.ndim == 1
+    starts = _as_points(starts[None, :] if single else starts)
+    b = np.asarray(to_point, dtype=np.float64)
+    if not isinstance(obstacles, PointIndex) or target_exclusion > 0.0:
+        pts = obstacles.points if isinstance(obstacles, PointIndex) else _as_points(obstacles)
+        if target_exclusion > 0.0:
+            pts = pts[np.linalg.norm(pts - b, axis=1) > target_exclusion]
+        obstacles = PointIndex(pts)
+
+    clear = np.ones(len(starts), dtype=bool)
+    if len(obstacles):
+        d = b - starts
+        seg_len_sq = np.einsum("ij,ij->i", d, d)
+        n_samples = np.ceil(np.sqrt(seg_len_sq) / _SIGHT_SPACING).astype(np.intp) + 1
+        # the exact test owns the zero-length rule, so near-zero segments go there
+        use_samples = (seg_len_sq >= 2.0 * ZERO_LENGTH_SQ) & (n_samples <= _SIGHT_MAX_SAMPLES)
+        sampled, exact = np.flatnonzero(use_samples), np.flatnonzero(~use_samples)
+        if len(sampled):
+            counts = n_samples[sampled]
+            first = np.cumsum(counts) - counts
+            seg = np.repeat(np.arange(len(sampled)), counts)
+            t = (np.arange(int(counts.sum())) - first[seg]) / (counts[seg] - 1)
+            samples = starts[sampled[seg]] + t[:, None] * d[sampled[seg]]
+            gap, _ = obstacles.nearest(
+                samples, distance_upper_bound=clearance + 0.5 * _SIGHT_SPACING + _SIGHT_MARGIN)
+            gap = np.minimum.reduceat(gap, first)
+            blocked = gap < clearance - _SIGHT_MARGIN
+            clear[sampled[blocked]] = False
+            exact = np.concatenate([exact, sampled[np.isfinite(gap) & ~blocked]])
+        for i in exact:
+            clear[i] = _segment_clear(starts[i], b, obstacles, clearance)
+    return bool(clear[0]) if single else clear

@@ -20,12 +20,11 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .codec import JsonCodec, decode_value, read_json_object
 from .errors import (ConfigError, DegenerateInputError, FileFormatError,
                      InvalidRotationError)
-from .geometry import Pose, rotation_about_z
+from .geometry import PointIndex, Pose, rotation_about_z
 
 DEFAULT_ON_OBJECT_TOL = 0.02
 DEFAULT_SWEEP_COUNT = 4
@@ -163,9 +162,7 @@ def filter_grasps(candidates: Sequence[GraspCandidate], object_points: np.ndarra
             f"{object_points.shape}")
     if not candidates:
         return []
-    tree = cKDTree(object_points)
-    centers = np.stack([c.center for c in candidates])
-    dists, _ = tree.query(centers)
+    dists, _ = PointIndex(object_points).nearest(np.stack([c.center for c in candidates]))
     return [cand for cand, dist in zip(candidates, dists)
             if cand.score > 0.0 and dist <= on_object_tol]
 

@@ -124,42 +124,48 @@ def validate_candidates(candidates: list[BodyCandidate], scene: PointCloudScene,
     robot stands on the floor). Line-of-sight check: from the camera point
     to the target centroid against all non-target points, ignoring points
     within los_target_exclusion of the centroid so the support surface
-    right under the object does not count as a blocker.
+    right under the object does not count as a blocker. Both checks run
+    batched: one clearance query for all standing points, one
+    line-of-sight call for the in-scene camera points.
     """
     centroid = scene.centroid_of(target_instance)
     min_z = float(scene.bounds[0][2]) + config.floor_slab
     lo = scene.bounds[0][:2] + config.footprint_radius
     hi = scene.bounds[1][:2] - config.footprint_radius
-    los_index = scene.obstacle_index(exclude_instance=target_instance)
-    # With every non-floor obstacle excluded the clearance check is vacuous;
-    # use the scene diagonal as a finite, JSON-safe stand-in distance.
-    diagonal = float(np.linalg.norm(scene.bounds[1] - scene.bounds[0]))
+    los_index = scene.obstacle_index(exclude_instance=target_instance,
+                                     target_exclusion=config.los_target_exclusion)
+    positions = np.array([cand.position for cand in candidates]).reshape(-1, 2)
+    standing = np.column_stack([positions, [c.standing_height for c in candidates]])
+    cameras = np.column_stack([positions, [c.camera_height for c in candidates]])
+    try:
+        d_obstacles = scene.distance_to_obstacles(
+            standing, exclude_instance=target_instance, min_z=min_z)
+    except EmptySceneError:
+        # With every non-floor obstacle excluded the clearance check is
+        # vacuous; use the scene diagonal as a finite, JSON-safe stand-in.
+        d_obstacles = np.full(len(candidates),
+                              float(np.linalg.norm(scene.bounds[1] - scene.bounds[0])))
+    in_scene = (np.all(positions >= lo, axis=1) & np.all(positions <= hi, axis=1)
+                & (d_obstacles >= config.footprint_radius))
+    sight = np.zeros(len(candidates), dtype=bool)
+    sight[in_scene] = line_of_sight(cameras[in_scene], centroid, los_index,
+                                    clearance=config.los_clearance)
 
     out = []
-    for cand in candidates:
+    for i, cand in enumerate(candidates):
         checked = BodyCandidate(position=cand.position.copy(), yaw=cand.yaw,
                                 camera_height=cand.camera_height,
                                 standing_height=cand.standing_height)
-        in_bounds = bool(np.all(cand.position >= lo) and np.all(cand.position <= hi))
-        try:
-            d_obstacles = scene.distance_to_obstacles(
-                checked.standing_point, exclude_instance=target_instance, min_z=min_z)
-        except EmptySceneError:
-            d_obstacles = diagonal
-        if not in_bounds or d_obstacles < config.footprint_radius:
+        out.append(checked)
+        if not in_scene[i]:
             checked.reason = REASON_OUT_OF_SCENE
-            out.append(checked)
             continue
-        if not line_of_sight(checked.camera_point, centroid, los_index,
-                             clearance=config.los_clearance,
-                             target_exclusion=config.los_target_exclusion):
+        if not sight[i]:
             checked.reason = REASON_NO_LINE_OF_SIGHT
-            out.append(checked)
             continue
         checked.valid = True
-        checked.d_obstacles = d_obstacles
+        checked.d_obstacles = float(d_obstacles[i])
         checked.d_item = float(math.hypot(cand.position[0] - centroid[0],
                                           cand.position[1] - centroid[1]))
         checked.s_body = checked.d_obstacles - config.lambda_item * checked.d_item
-        out.append(checked)
     return out

@@ -228,7 +228,7 @@ class PointCloudScene:
             raise FileFormatError("scene contains no points")
         self.bounds = np.stack([self.points.min(axis=0), self.points.max(axis=0)])
         self._by_id = {inst.id: inst for inst in self.instances}
-        self._index_cache: dict[tuple[int | None, float | None], PointIndex] = {}
+        self._index_cache: dict[tuple[int | None, float | None, float], PointIndex] = {}
 
     # -- lookups ------------------------------------------------------------
 
@@ -245,15 +245,21 @@ class PointCloudScene:
         return self.instance_points(instance_id).mean(axis=0)
 
     def obstacle_index(self, exclude_instance: int | None = None,
-                       min_z: float | None = None) -> PointIndex:
+                       min_z: float | None = None,
+                       target_exclusion: float = 0.0) -> PointIndex:
         """Index over scene points outside the excluded instance / floor slab.
 
-        Built lazily and cached per (exclude_instance, min_z); scenes are
-        immutable so cached indexes stay valid.
+        With `target_exclusion` > 0 it also drops the points within that
+        distance of the excluded instance's centroid, the line-of-sight
+        obstacles of `nav.validate_candidates`. Built lazily and cached per
+        (exclude_instance, min_z, target_exclusion); scenes are immutable
+        so cached indexes stay valid.
         """
         if exclude_instance is not None:
             self.instance(exclude_instance)  # raise before caching odd keys
-        key = (exclude_instance, min_z)
+        elif target_exclusion > 0.0:
+            raise ValueError("target_exclusion needs an excluded instance")
+        key = (exclude_instance, min_z, target_exclusion)
         cached = self._index_cache.get(key)
         if cached is not None:
             return cached
@@ -262,6 +268,9 @@ class PointCloudScene:
             mask[self.instance(exclude_instance).point_indices] = False
         if min_z is not None:
             mask &= self.points[:, 2] >= min_z
+        if target_exclusion > 0.0:
+            centroid = self.centroid_of(exclude_instance)
+            mask &= np.linalg.norm(self.points - centroid, axis=1) > target_exclusion
         index = PointIndex(self.points[mask])
         self._index_cache[key] = index
         return index
@@ -294,12 +303,14 @@ class PointCloudScene:
 
     def distance_to_obstacles(self, p: np.ndarray,
                               exclude_instance: int | None = None,
-                              min_z: float | None = None) -> float:
-        """Distance from p to the nearest point outside the excluded instance."""
+                              min_z: float | None = None) -> "float | np.ndarray":
+        """Distance from p to the nearest point outside the excluded instance.
+
+        One (3,) point gives a float, an (N, 3) batch an (N,) array."""
         index = self.obstacle_index(exclude_instance, min_z)
         if len(index) == 0:
             raise EmptySceneError("no obstacle points remain after exclusion")
-        dist, _ = index.nearest(np.asarray(p, dtype=np.float64))
+        dist, _ = index.nearest(p)
         return dist
 
 

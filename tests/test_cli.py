@@ -368,6 +368,20 @@ class TestSimulate:
         assert rc == EXIT_PARSE
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 1.42 PiB for an array"),
+         "graspnav: out of memory: Unable to allocate 1.42 PiB for an array\n"),
+        (MemoryError(), "graspnav: out of memory\n")])
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys,
+                                                 monkeypatch, exc, line):
+        def exhausted(n, seed, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "run_grasp_batch", exhausted)
+        rc = main(["simulate", "--task", "grasp", "--episodes", "1",
+                   "--out", str(tmp_path / "run")])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == line
+
     def test_unknown_task_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--task", "fly", "--episodes", "1",

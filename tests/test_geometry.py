@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from graspnav import geometry
 from graspnav.errors import (
     BehindCameraError,
     DegenerateInputError,
@@ -25,6 +27,8 @@ from graspnav.errors import (
     OutOfBoundsError,
 )
 from graspnav.geometry import (
+    _SIGHT_MAX_SAMPLES,
+    _SIGHT_SPACING,
     BBox2D,
     CameraIntrinsics,
     Plane,
@@ -38,6 +42,7 @@ from graspnav.geometry import (
     project,
     ransac_plane,
     rotation_about_z,
+    _segment_clear,
 )
 
 from conftest import random_pose, random_rotation, vga_intrinsics
@@ -512,6 +517,63 @@ class TestFarthestPointSample:
 
 
 # ---------------------------------------------------------------------------
+# Point index
+# ---------------------------------------------------------------------------
+
+def _clouds(rng):
+    """Random clouds, plus a lattice and duplicates so queries meet ties."""
+    yield rng.uniform(-2.0, 2.0, size=(1, 3))
+    yield rng.uniform(-2.0, 2.0, size=(40, 3))
+    yield rng.normal(size=(3000, 3))
+    grid = np.stack(np.meshgrid(*[np.arange(-1.0, 1.01, 0.25)] * 3), -1).reshape(-1, 3)
+    yield np.vstack([grid, grid[:50]])
+
+
+class TestPointIndex:
+    def test_sliding_midpoint_tree_matches_balanced(self):
+        # PointIndex builds sliding-midpoint trees; the balanced tree is the
+        # reference: equal ball sets and bit-equal nearest distances
+        rng = np.random.default_rng(41)
+        for pts in _clouds(rng):
+            balanced = cKDTree(pts)
+            index = PointIndex(pts)
+            queries = np.vstack([rng.uniform(-2.5, 2.5, size=(300, 3)), pts[:20]])
+            want, _ = balanced.query(queries)
+            got, _ = index.nearest(queries)
+            np.testing.assert_array_equal(got, want)
+            for q in queries[:60]:
+                radius = float(rng.uniform(0.05, 1.5))
+                assert (sorted(index.ball(q, radius).tolist())
+                        == sorted(balanced.query_ball_point(q, radius)))
+
+    def test_batched_nearest_equals_scalar_calls(self):
+        rng = np.random.default_rng(43)
+        for pts in _clouds(rng):
+            index = PointIndex(pts)
+            queries = rng.uniform(-2.5, 2.5, size=(100, 3))
+            dist, idx = index.nearest(queries)
+            assert dist.shape == idx.shape == (100,)
+            for q, d, i in zip(queries, dist, idx):
+                one_d, one_i = index.nearest(q)
+                assert type(one_d) is float and type(one_i) is int
+                assert one_d == d and one_i == i
+
+    def test_distance_upper_bound_misses_read_inf(self):
+        index = PointIndex(np.zeros((1, 3)))
+        dist, idx = index.nearest(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.2]]),
+                                  distance_upper_bound=0.5)
+        assert dist[0] == math.inf and idx[0] == len(index)
+        assert dist[1] == 0.2 and idx[1] == 0
+
+    def test_empty_index(self):
+        index = PointIndex(np.empty((0, 3)))
+        assert len(index) == 0 and len(index.ball(np.zeros(3), 1.0)) == 0
+        for query in (np.zeros(3), np.zeros((4, 3))):
+            with pytest.raises(DegenerateInputError):
+                index.nearest(query)
+
+
+# ---------------------------------------------------------------------------
 # Line of sight
 # ---------------------------------------------------------------------------
 
@@ -584,6 +646,145 @@ class TestLineOfSight:
         clearance = float(rng.uniform(0.02, 0.3))
         if line_of_sight(a, b, pts, clearance):
             assert line_of_sight(a, b, pts, clearance * shrink)
+
+
+def _boundary_points(rng, a, b, clearance):
+    """Points at `clearance` from the closed segment a-b and 1e-12 either
+    side: beside its interior, and behind its start (closest point a)."""
+    d = b - a
+    side = np.cross(d, rng.normal(size=3))
+    side /= np.linalg.norm(side)
+    back = -d / np.linalg.norm(d)
+    t = rng.uniform(0.05, 0.95)
+    return np.array([p for r in (clearance - 1e-12, clearance, clearance + 1e-12)
+                     for p in (a + t * d + r * side, a + r * back)])
+
+
+def exact_sight(starts, b, pts, clearance, target_exclusion=0.0):
+    """Per-segment flags from the exact point-to-segment test."""
+    if target_exclusion > 0.0:
+        pts = pts[np.linalg.norm(pts - b, axis=1) > target_exclusion]
+    index = PointIndex(pts)
+    return np.array([_segment_clear(a, b, index, clearance) for a in starts],
+                    dtype=bool)
+
+
+class TestBatchedLineOfSight:
+    """Batched flags against the exact test they must reproduce."""
+
+    def test_random_scenes_match_exact_test(self):
+        rng = np.random.default_rng(911)
+        outcomes = set()
+        for scene_i in range(40):
+            b = rng.uniform(-1, 1, size=3)
+            starts = rng.uniform(-1.5, 1.5, size=(24, 3))
+            clearance = float(rng.uniform(0.02, 0.2))
+            pts = np.vstack([rng.uniform(-1.5, 1.5, size=(5 + 4 * scene_i, 3)),
+                             *(_boundary_points(rng, a, b, clearance) for a in starts[:6])])
+            got = line_of_sight(starts, b, PointIndex(pts), clearance)
+            assert got.dtype == bool and got.shape == (24,)
+            np.testing.assert_array_equal(got, exact_sight(starts, b, pts, clearance))
+            outcomes.update(got[6:].tolist())
+        assert outcomes == {True, False}
+
+    def test_boundary_obstacle_alone(self):
+        # one obstacle 1e-12 inside, at, or 1e-12 outside the clearance
+        rng = np.random.default_rng(912)
+        for _ in range(20):
+            a, b = rng.uniform(-1, 1, size=(2, 3))
+            clearance = float(rng.uniform(0.02, 0.2))
+            for p in _boundary_points(rng, a, b, clearance):
+                got = line_of_sight(a, b, p[None, :], clearance)
+                assert got == exact_sight([a], b, p[None, :], clearance)[0]
+
+    def test_segment_is_closed(self):
+        # exactly representable: obstacles at exactly c from the start, the
+        # end and the interior all block, since the test needs distance > c
+        a, b, c = np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.125
+        for p in ([-c, 0.0, 0.0], [1.0 + c, 0.0, 0.0], [0.5, c, 0.0]):
+            assert not line_of_sight(a, b, np.array([p]), c)
+            assert line_of_sight(a, b, np.array([p]), c * (1 - 2**-20))
+
+    def test_matches_dense_sampling_oracle(self):
+        rng = np.random.default_rng(913)
+        clearance, exclusion = 0.1, 0.2
+        for _ in range(6):
+            b = rng.uniform(-1, 1, size=3)
+            starts = rng.uniform(-1.5, 1.5, size=(10, 3))
+            pts = rng.uniform(-1.5, 1.5, size=(60, 3))
+            # keep points clear of the 1 mm oracle's ambiguity band
+            for a in starts:
+                d = b - a
+                t = np.clip((pts - a) @ d / (d @ d), 0.0, 1.0)
+                gap = np.linalg.norm(pts - (a + t[:, None] * d), axis=1) - clearance
+                pts = pts[np.abs(gap) > 0.002]
+            got = line_of_sight(starts, b, pts, clearance, target_exclusion=exclusion)
+            want = [los_oracle(a, b, pts, clearance, exclusion) for a in starts]
+            np.testing.assert_array_equal(got, want)
+
+    def test_zero_length_segments_are_clear(self):
+        b = np.array([0.3, -0.2, 0.5])
+        pts = np.vstack([b, b + 0.01])
+        # lengths 0, 1e-13 (below the zero-length cut), 1.2e-12 and 0.5
+        starts = b + np.array([[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0],
+                               [0.0, 1.2e-12, 0.0], [0.5, 0.0, 0.0]])
+        got = line_of_sight(starts, b, pts, 0.05)
+        assert got.tolist() == [True, True, False, False]
+        np.testing.assert_array_equal(got, exact_sight(starts, b, pts, 0.05))
+        assert line_of_sight(b, b, pts, 0.05) is True
+
+    def test_empty_obstacles_clear_every_segment(self):
+        rng = np.random.default_rng(914)
+        b = rng.uniform(-1, 1, size=3)
+        starts = rng.uniform(-1, 1, size=(7, 3))
+        for obstacles in (np.empty((0, 3)), PointIndex(np.empty((0, 3)))):
+            assert line_of_sight(starts, b, obstacles, 0.1).tolist() == [True] * 7
+        near_target = b + rng.uniform(-0.05, 0.05, size=(30, 3))
+        assert line_of_sight(starts, b, near_target, 0.1,
+                             target_exclusion=0.2).tolist() == [True] * 7
+        assert line_of_sight(np.empty((0, 3)), b, near_target, 0.1).shape == (0,)
+
+    def test_single_start_returns_python_bool(self):
+        rng = np.random.default_rng(915)
+        index = PointIndex(rng.uniform(-1, 1, size=(40, 3)))
+        b = rng.uniform(-1, 1, size=3)
+        starts = rng.uniform(-1.5, 1.5, size=(30, 3))
+        batch = line_of_sight(starts, b, index, 0.1)
+        assert set(batch.tolist()) == {True, False}
+        for a, flag in zip(starts, batch):
+            one = line_of_sight(a, b, index, 0.1)
+            assert type(one) is bool and one == flag
+
+    def test_target_exclusion_with_point_array(self):
+        rng = np.random.default_rng(916)
+        changed = 0
+        for _ in range(15):
+            b = rng.uniform(-1, 1, size=3)
+            starts = rng.uniform(-1.5, 1.5, size=(20, 3))
+            pts = np.vstack([rng.uniform(-1.5, 1.5, size=(25, 3)),
+                             b + rng.uniform(-0.3, 0.3, size=(25, 3))])
+            got = line_of_sight(starts, b, pts, 0.08, target_exclusion=0.25)
+            np.testing.assert_array_equal(got, exact_sight(starts, b, pts, 0.08, 0.25))
+            np.testing.assert_array_equal(
+                got, line_of_sight(starts, b, PointIndex(pts), 0.08, target_exclusion=0.25))
+            changed += int(np.sum(got != line_of_sight(starts, b, pts, 0.08)))
+        assert changed > 0
+
+    def test_unsampled_segments_take_the_exact_test(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _segment_clear(*args)
+        monkeypatch.setattr(geometry, "_segment_clear", counted)
+        length = _SIGHT_SPACING * (_SIGHT_MAX_SAMPLES + 10)
+        a, b = np.zeros(3), np.array([length, 0.0, 0.0])
+        assert not line_of_sight(a, b, np.array([[length / 2, 0.05, 0.0]]), 0.1)
+        assert line_of_sight(a, b, np.array([[length / 2, 0.2, 0.0]]), 0.1)
+        assert len(calls) == 2
+        # a short segment far from every obstacle is decided by the samples
+        assert line_of_sight(a, np.array([1.0, 0.0, 0.0]), np.array([[0.5, 1.0, 0.0]]), 0.1)
+        assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from graspnav import geometry
 from graspnav.errors import ConfigError, InstanceNotFoundError
+from graspnav.geometry import PointIndex, _segment_clear
 from graspnav.nav import (
     REASON_NO_LINE_OF_SIGHT,
     REASON_OUT_OF_SCENE,
@@ -25,6 +27,45 @@ from graspnav.nav import (
 from graspnav.scene import InstanceMask, PointCloudScene
 
 from test_geometry import los_oracle
+
+
+def post_scene(seed):
+    """Floor, target at the origin, and random posts around it."""
+    rng = np.random.default_rng(seed)
+    posts = []
+    for i in range(int(rng.integers(0, 7))):
+        angle, radius = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.3, 1.6)
+        height = rng.uniform(0.2, 1.2)
+        posts.append(object_cluster([radius * math.cos(angle), radius * math.sin(angle),
+                                     height / 2], n=30, scale=rng.uniform(0.02, 0.1),
+                                    seed=seed * 10 + i))
+    return simple_target_scene(extra_groups=posts)
+
+
+def reference_validation(cands, scene, target, cfg):
+    """(valid, reason, d_obstacles) per candidate from scalar nearest calls
+    and the exact segment test, over indexes built here from raw points."""
+    centroid = scene.centroid_of(target)
+    non_target = np.delete(scene.points, scene.instance(target).point_indices, axis=0)
+    above_slab = PointIndex(non_target[non_target[:, 2] >= scene.bounds[0][2] + cfg.floor_slab])
+    if cfg.los_target_exclusion > 0.0:
+        non_target = non_target[np.linalg.norm(non_target - centroid, axis=1)
+                                > cfg.los_target_exclusion]
+    sight = PointIndex(non_target)
+    lo = scene.bounds[0][:2] + cfg.footprint_radius
+    hi = scene.bounds[1][:2] - cfg.footprint_radius
+    out = []
+    for cand in cands:
+        d_obs = (above_slab.nearest(cand.standing_point)[0] if len(above_slab)
+                 else float(np.linalg.norm(scene.bounds[1] - scene.bounds[0])))
+        if (not (np.all(cand.position >= lo) and np.all(cand.position <= hi))
+                or d_obs < cfg.footprint_radius):
+            out.append((False, REASON_OUT_OF_SCENE, None))
+        elif not _segment_clear(cand.camera_point, centroid, sight, cfg.los_clearance):
+            out.append((False, REASON_NO_LINE_OF_SIGHT, None))
+        else:
+            out.append((True, None, d_obs))
+    return out
 
 
 def floor_grid(extent=2.0, spacing=0.1):
@@ -186,6 +227,47 @@ class TestValidateCandidates:
             # valid candidates survive the dense line-of-sight oracle
             assert los_oracle(cand.camera_point, centroid, non_target,
                               cfg.los_clearance, cfg.los_target_exclusion)
+
+    def test_every_candidate_matches_scalar_reference(self, monkeypatch):
+        builds = []
+        init = PointIndex.__init__
+
+        def counted(index, points):
+            builds.append(len(points))
+            init(index, points)
+        checks = []
+
+        def exact(*args):
+            checks.append(args)
+            return _segment_clear(*args)
+        configs = [self.CFG, NavConfig(radii=(0.4, 0.6, 0.8, 1.0, 1.2), los_clearance=0.05),
+                   NavConfig(los_target_exclusion=0.0, footprint_radius=0.2,
+                             los_clearance=0.03)]
+        reasons = set()
+        segments = fallbacks = 0
+        for seed in range(12):
+            cfg = configs[seed % 3]
+            scene = post_scene(seed)
+            cands = sample_positions(scene.centroid_of(0), cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(PointIndex, "__init__", counted)
+                patch.setattr(geometry, "_segment_clear", exact)
+                out = validate_candidates(cands, scene, 0, cfg)
+            assert len(builds) == 2, "one clearance and one line-of-sight kd-tree"
+            builds.clear()
+            want = reference_validation(cands, scene, 0, cfg)
+            for cand, (valid, reason, d_obs) in zip(out, want):
+                assert (cand.valid, cand.reason, cand.d_obstacles) == (valid, reason, d_obs)
+                assert type(cand.d_obstacles) is (float if valid else type(None))
+            reasons.update(reason for _, reason, _ in want)
+            if cfg.los_target_exclusion > 0.0:
+                segments += sum(reason != REASON_OUT_OF_SCENE for _, reason, _ in want)
+                fallbacks += len(checks)
+            checks.clear()
+        assert reasons == {None, REASON_OUT_OF_SCENE, REASON_NO_LINE_OF_SIGHT}
+        # with the target's surroundings excluded, the sampled bounds decide
+        # almost every segment without the exact test
+        assert fallbacks < 0.1 * segments
 
     def test_order_independent(self):
         scene = simple_target_scene()

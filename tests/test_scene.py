@@ -342,5 +342,37 @@ class TestDistanceToObstacles:
 
     def test_all_excluded_is_error(self):
         scene = make_scene(np.zeros((3, 3)), [(0, "a", [0, 1, 2], None)])
-        with pytest.raises(EmptySceneError):
-            scene.distance_to_obstacles(np.zeros(3), exclude_instance=0)
+        for p in (np.zeros(3), np.zeros((5, 3)), np.empty((0, 3))):
+            with pytest.raises(EmptySceneError):
+                scene.distance_to_obstacles(p, exclude_instance=0)
+
+    def test_batch_equals_scalar_calls(self):
+        rng = np.random.default_rng(22)
+        pts = rng.normal(size=(2000, 3))
+        scene = make_scene(pts, [(0, "a", list(range(150)), None)])
+        queries = rng.normal(size=(108, 3)) * 1.5
+        for kwargs in ({}, {"exclude_instance": 0}, {"exclude_instance": 0, "min_z": 0.3}):
+            got = scene.distance_to_obstacles(queries, **kwargs)
+            assert got.shape == (108,)
+            for q, d in zip(queries, got):
+                one = scene.distance_to_obstacles(q, **kwargs)
+                assert type(one) is float and one == d
+
+
+class TestObstacleIndex:
+    def test_target_exclusion_drops_points_near_the_centroid(self):
+        rng = np.random.default_rng(23)
+        pts = rng.uniform(-1.0, 1.0, size=(1500, 3))
+        scene = make_scene(pts, [(0, "a", list(range(100)), None)])
+        centroid = pts[:100].mean(axis=0)
+        keep = np.linalg.norm(pts - centroid, axis=1) > 0.4
+        keep[:100] = False
+        index = scene.obstacle_index(exclude_instance=0, target_exclusion=0.4)
+        np.testing.assert_array_equal(index.points, pts[keep])
+        assert len(scene.obstacle_index(exclude_instance=0)) == 1400
+        assert scene.obstacle_index(exclude_instance=0, target_exclusion=0.4) is index
+
+    def test_target_exclusion_needs_an_instance(self):
+        scene = make_scene(np.zeros((3, 3)), [])
+        with pytest.raises(ValueError):
+            scene.obstacle_index(target_exclusion=0.1)
