@@ -39,6 +39,8 @@ from .sim import derive_seed, run_grasp_batch, run_search_batch
 from .sim.scenegen import (default_grasp_spec, default_search_spec,
                            load_scene_spec)
 
+MAX_EPISODES = 100_000
+
 _EXIT_CODES_HELP = """\
 exit codes:
   0  success
@@ -50,7 +52,7 @@ exit codes:
 """
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -58,6 +60,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--frames", required=True, nargs="+",
                    help="detection frame JSON files")
     m.add_argument("--config", help="run config JSON")
-    m.add_argument("--seed", type=_int_at_least(0), default=0,
+    m.add_argument("--seed", type=_int_in(0), default=0,
                    help="root seed, an integer >= 0 (default 0); per-frame"
                         " plane fits use derive_seed(seed, frame_index,"
                         " pair_index)")
@@ -265,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     s.add_argument("--task", required=True, choices=("grasp", "search"),
                    help="which episode type to run")
-    s.add_argument("--episodes", type=_int_at_least(1), default=200,
-                   help="number of episodes (default 200)")
+    s.add_argument("--episodes", type=_int_in(1, MAX_EPISODES), default=200,
+                   help=f"number of episodes, 1 to {MAX_EPISODES} (default 200)")
     s.add_argument("--spec", help="scene spec JSON (built-in default per task)")
     s.add_argument("--config", help="run config JSON")
-    s.add_argument("--seed", type=_int_at_least(0), default=0,
+    s.add_argument("--seed", type=_int_in(0), default=0,
                    help="root seed, an integer >= 0 (default 0); episode i"
                         " uses derive_seed(seed, i, 0) for the scene and"
                         " derive_seed(seed, i, 1) inside")

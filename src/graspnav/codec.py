@@ -10,11 +10,13 @@ strings, booleans are never numbers, tuples have the hinted length,
 nested codec classes need an object, and `X | None` also takes null.
 Unknown keys and missing required keys are rejected; omitted keys take
 the field defaults. Every failure is a `ConfigError` naming the key path,
-such as ``nav.footprint_radius`` or ``objects[0].tier``. Range checks stay
-in each class's `__post_init__`, because Python callers construct these
-types directly; a `ValueError` or `ConfigError` raised there is re-raised
-as a `ConfigError` carrying the path. File loaders read with
-`read_json_object` and check each value with `decode_value`.
+such as ``nav.footprint_radius`` or ``objects[0].tier``. A number field
+declares its range once, with `bounded` (each item of a tuple is held to
+it), and `JsonCodec.__post_init__` checks every range, so objects built by
+Python callers pass the same check; a class's own `__post_init__` calls it
+first, then checks rules that span several fields. A `ValueError` or
+`ConfigError` raised while building is re-raised with the key path. File
+loaders read with `read_json_object` and check each value with `decode_value`.
 
 Every file graspnav writes goes through `to_json`: keys sorted, NaN and
 infinity rejected, arrays written as lists and dataclasses as objects of
@@ -24,6 +26,7 @@ their fields, so the same values always give the same bytes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import types
@@ -37,8 +40,23 @@ _EXPECTED = {float: "a finite number", int: "an integer", str: "a string",
              dict: "an object"}
 
 
+def bounded(default=dataclasses.MISSING, *, gt=None, ge=None, le=None):
+    """A dataclass field whose value, or each item of a tuple value, must be
+    > `gt`, >= `ge` and <= `le` (where given); `JsonCodec` checks it."""
+    return dataclasses.field(default=default, metadata={"bounds": (gt, ge, le)})
+
+
 class JsonCodec:
     """Mixin for dataclasses that read and write plain JSON values."""
+
+    def __post_init__(self):
+        for name, gt, ge, le in _bounded_fields(type(self)):
+            value = getattr(self, name)
+            if isinstance(value, (tuple, list)):
+                for i, item in enumerate(value):
+                    _check_range(f"{name}[{i}]", item, gt, ge, le)
+            else:
+                _check_range(name, value, gt, ge, le)
 
     def to_dict(self) -> dict:
         return {f.name: _encode(getattr(self, f.name))
@@ -47,6 +65,23 @@ class JsonCodec:
     @classmethod
     def from_dict(cls, d: dict):
         return _decode_object(cls, d, "")
+
+
+@functools.cache
+def _bounded_fields(cls) -> tuple:
+    return tuple((f.name, *f.metadata["bounds"]) for f in dataclasses.fields(cls)
+                 if "bounds" in f.metadata)
+
+
+def _check_range(name: str, value, gt, ge, le) -> None:
+    # written as `not value > gt` so that NaN fails every bound
+    if gt is not None and not value > gt:
+        raise ConfigError(f"{name} must be "
+                          f"{'positive' if gt == 0 else f'> {gt}'}, got {value}")
+    if ge is not None and not value >= ge:
+        raise ConfigError(f"{name} must be >= {ge}, got {value}")
+    if le is not None and not value <= le:
+        raise ConfigError(f"{name} must be <= {le}, got {value}")
 
 
 def read_json_object(path, what: str, or_list: bool = False) -> dict | list:

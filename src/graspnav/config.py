@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import JsonCodec, read_json_object
+from .codec import JsonCodec, bounded, read_json_object
 from .drawer import DrawerConfig
 from .errors import ConfigError
 from .geometry import CameraIntrinsics
@@ -32,28 +32,18 @@ class NoiseModel(JsonCodec):
     confidences drawn uniformly from [0.6, 1.0].
     """
 
-    depth_sigma: float = 0.005
-    depth_dropout: float = 0.1
-    detection_dropout: float = 0.05
-    bbox_jitter_sigma: float = 2.0
-    confidence_range: tuple[float, float] = (0.6, 1.0)
+    depth_sigma: float = bounded(0.005, ge=0)
+    depth_dropout: float = bounded(0.1, ge=0, le=1)
+    detection_dropout: float = bounded(0.05, ge=0, le=1)
+    bbox_jitter_sigma: float = bounded(2.0, ge=0)
+    confidence_range: tuple[float, float] = bounded((0.6, 1.0), ge=0, le=1)
 
     def __post_init__(self):
-        if self.depth_sigma < 0:
-            raise ConfigError(f"depth_sigma must be >= 0, got {self.depth_sigma}")
-        if not 0.0 <= self.depth_dropout <= 1.0:
-            raise ConfigError(
-                f"depth_dropout must be in [0, 1], got {self.depth_dropout}")
-        if not 0.0 <= self.detection_dropout <= 1.0:
-            raise ConfigError(
-                f"detection_dropout must be in [0, 1], got {self.detection_dropout}")
-        if self.bbox_jitter_sigma < 0:
-            raise ConfigError(
-                f"bbox_jitter_sigma must be >= 0, got {self.bbox_jitter_sigma}")
+        super().__post_init__()
         lo, hi = self.confidence_range
-        if not (0.0 <= lo <= hi <= 1.0):
+        if lo > hi:
             raise ConfigError(
-                f"confidence_range must satisfy 0 <= lo <= hi <= 1, got {self.confidence_range}")
+                f"confidence_range must satisfy lo <= hi, got {self.confidence_range}")
         object.__setattr__(self, "confidence_range", (float(lo), float(hi)))
 
     @classmethod
@@ -66,36 +56,26 @@ class NoiseModel(JsonCodec):
 class SimConfig(JsonCodec):
     """Camera, viewpoint, tolerance, and difficulty settings."""
 
-    image_width: int = 160
-    image_height: int = 120
-    focal: float = 130.0
-    n_views: int = 4
-    view_candidates: int = 12
-    view_span_deg: float = 120.0
-    view_radius: float = 1.5
-    grasp_success_tol: float = 0.02
-    axis_tol_deg: float = 5.0
-    handle_tol: float = 0.03
-    close_looks: int = 3
-    tier_noise_easy: float = 1.0
-    tier_noise_medium: float = 2.0
-    tier_noise_hard: float = 4.0
+    image_width: int = bounded(160, ge=8, le=2048)
+    image_height: int = bounded(120, ge=8, le=2048)
+    focal: float = bounded(130.0, gt=0)
+    n_views: int = bounded(4, ge=1)
+    view_candidates: int = bounded(12, ge=1, le=360)
+    view_span_deg: float = bounded(120.0, gt=0, le=360)
+    view_radius: float = bounded(1.5, gt=0)
+    grasp_success_tol: float = bounded(0.02, gt=0)
+    axis_tol_deg: float = bounded(5.0, gt=0)
+    handle_tol: float = bounded(0.03, gt=0)
+    close_looks: int = bounded(3, ge=1, le=32)
+    tier_noise_easy: float = bounded(1.0, gt=0)
+    tier_noise_medium: float = bounded(2.0, gt=0)
+    tier_noise_hard: float = bounded(4.0, gt=0)
 
     def __post_init__(self):
-        if self.image_width < 8 or self.image_height < 8:
-            raise ConfigError("image size must be at least 8 x 8")
-        for name in ("focal", "view_radius", "grasp_success_tol", "axis_tol_deg",
-                     "handle_tol", "tier_noise_easy", "tier_noise_medium",
-                     "tier_noise_hard"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_views < 1 or self.view_candidates < self.n_views:
-            raise ConfigError("need view_candidates >= n_views >= 1")
-        if self.close_looks < 1:
-            raise ConfigError(f"close_looks must be >= 1, got {self.close_looks}")
-        if not 0.0 < self.view_span_deg <= 360.0:
-            raise ConfigError(
-                f"view_span_deg must be in (0, 360], got {self.view_span_deg}")
+        super().__post_init__()
+        if self.view_candidates < self.n_views:
+            raise ConfigError(f"view_candidates must be >= n_views, got"
+                              f" {self.view_candidates} < {self.n_views}")
 
     @property
     def intrinsics(self) -> CameraIntrinsics:

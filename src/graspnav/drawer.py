@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .codec import JsonCodec, decode_value, read_json_object, to_json
+from .codec import JsonCodec, bounded, decode_value, read_json_object, to_json
 from .errors import (ConfigError, DegenerateBBoxError, DegenerateInputError,
                      FileFormatError, GraspNavError, InvalidAxisError,
                      MissingDepthError, NoPlaneFoundError)
@@ -150,22 +150,13 @@ class PullPlan:
 class DrawerConfig(JsonCodec):
     """Tuning for matching, fusion, and pull planning."""
 
-    kappa: float = DEFAULT_KAPPA
-    ioa_min: float = DEFAULT_IOA_MIN
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS
-    gate_radius: float = DEFAULT_GATE_RADIUS
-    standoff: float = DEFAULT_STANDOFF
-    pull_distance: float = DEFAULT_PULL_DISTANCE
+    kappa: float = bounded(DEFAULT_KAPPA, gt=0)
+    ioa_min: float = bounded(DEFAULT_IOA_MIN, ge=0, le=1)
+    cluster_radius: float = bounded(DEFAULT_CLUSTER_RADIUS, gt=0)
+    gate_radius: float = bounded(DEFAULT_GATE_RADIUS, gt=0)
+    standoff: float = bounded(DEFAULT_STANDOFF, gt=0)
+    pull_distance: float = bounded(DEFAULT_PULL_DISTANCE, gt=0)
     ransac: RansacParams = field(default_factory=RansacParams)
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ConfigError(f"kappa must be positive, got {self.kappa}")
-        if not 0.0 <= self.ioa_min <= 1.0:
-            raise ConfigError(f"ioa_min must be in [0, 1], got {self.ioa_min}")
-        for name in ("cluster_radius", "gate_radius", "standoff", "pull_distance"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------

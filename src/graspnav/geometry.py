@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .codec import JsonCodec
+from .codec import JsonCodec, bounded
 from .errors import (
     BehindCameraError,
     DegenerateInputError,
@@ -75,6 +75,16 @@ class Pose:
         self.translation = tra
 
     @classmethod
+    def _trusted(cls, rot: np.ndarray, tra: np.ndarray) -> "Pose":
+        """Pose of new arrays that form a proper rotation by construction,
+        such as products of checked poses, without the checks."""
+        rot.setflags(write=False)
+        tra.setflags(write=False)
+        pose = cls.__new__(cls)
+        pose.rotation, pose.translation = rot, tra
+        return pose
+
+    @classmethod
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
@@ -96,12 +106,12 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         """Transform applying `other` first, then `self`."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
+        return Pose._trusted(self.rotation @ other.rotation,
+                             self.rotation @ other.translation + self.translation)
 
     def inverse(self) -> "Pose":
         rt = self.rotation.T
-        return Pose(rt, -(rt @ self.translation))
+        return Pose._trusted(np.array(rt), -(rt @ self.translation))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply to one (3,) point or an (N, 3) batch."""
@@ -229,17 +239,9 @@ class Plane:
 class RansacParams(JsonCodec):
     """Tuning for plane search: inlier threshold (m), hypothesis cap, min fraction."""
 
-    threshold: float = 0.005
-    iterations: int = 1000
-    min_inlier_fraction: float = 0.3
-
-    def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 <= self.min_inlier_fraction <= 1.0:
-            raise ValueError(f"min_inlier_fraction must be in [0, 1], got {self.min_inlier_fraction}")
+    threshold: float = bounded(0.005, gt=0)
+    iterations: int = bounded(1000, ge=1, le=100_000)  # all drawn up front
+    min_inlier_fraction: float = bounded(0.3, ge=0, le=1)
 
 
 class PointIndex:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import JsonCodec, decode_value, read_json_object
+from .codec import JsonCodec, bounded, decode_value, read_json_object
 from .errors import (ConfigError, DegenerateInputError, FileFormatError,
                      InvalidRotationError)
 from .geometry import PointIndex, Pose, rotation_about_z
@@ -57,21 +57,10 @@ class GraspCandidate:
 class GraspConfig(JsonCodec):
     """Knobs for the grasp ingestion stage of the pipeline."""
 
-    on_object_tol: float = DEFAULT_ON_OBJECT_TOL
-    top_k: int = DEFAULT_TOP_K          # per sweep batch, by score
-    sweep_count: int = DEFAULT_SWEEP_COUNT
-    min_similarity: float = 0.5         # localization acceptance threshold
-
-    def __post_init__(self):
-        if self.on_object_tol <= 0:
-            raise ConfigError(f"on_object_tol must be positive, got {self.on_object_tol}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.sweep_count < 1:
-            raise ConfigError(f"sweep_count must be >= 1, got {self.sweep_count}")
-        if not 0.0 <= self.min_similarity <= 1.0:
-            raise ConfigError(
-                f"min_similarity must be in [0, 1], got {self.min_similarity}")
+    on_object_tol: float = bounded(DEFAULT_ON_OBJECT_TOL, gt=0)
+    top_k: int = bounded(DEFAULT_TOP_K, ge=1, le=1000)  # per sweep batch, by score
+    sweep_count: int = bounded(DEFAULT_SWEEP_COUNT, ge=1, le=64)
+    min_similarity: float = bounded(0.5, ge=0, le=1)  # localization threshold
 
 
 @dataclass

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import JsonCodec
+from .codec import JsonCodec, bounded
 from .errors import ConfigError, EmptySceneError
 from .geometry import line_of_sight
 from .scene import PointCloudScene
@@ -37,30 +37,23 @@ _RING_COUNT_EPS = 1e-9
 class NavConfig(JsonCodec):
     """Sampling radii and validation thresholds; all serializable."""
 
-    radii: tuple[float, ...] = (0.7, 0.9, 1.1)
-    angular_step: float = 2.0 * math.pi / 36.0
-    footprint_radius: float = 0.35
-    camera_height: float = 0.8
-    standing_height: float = 0.5
-    lambda_item: float = 0.5
-    los_clearance: float = 0.10
-    los_target_exclusion: float = 0.25
-    floor_slab: float = 0.02
+    radii: tuple[float, ...] = bounded((0.7, 0.9, 1.1), gt=0)
+    # at most 1000 candidates per ring
+    angular_step: float = bounded(2.0 * math.pi / 36.0, ge=2.0 * math.pi / 1000.0,
+                                  le=math.pi)
+    footprint_radius: float = bounded(0.35, gt=0)
+    camera_height: float = bounded(0.8, gt=0)
+    standing_height: float = bounded(0.5, gt=0)
+    lambda_item: float = bounded(0.5, gt=0)
+    los_clearance: float = bounded(0.10, gt=0)
+    los_target_exclusion: float = bounded(0.25, ge=0)
+    floor_slab: float = bounded(0.02, ge=0)
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        if not self.radii or any(r <= 0 for r in self.radii):
-            raise ConfigError(f"radii must be positive, got {self.radii}")
-        if list(self.radii) != sorted(self.radii):
-            raise ConfigError(f"radii must be ascending, got {self.radii}")
-        if not 0.0 < self.angular_step <= math.pi:
-            raise ConfigError(f"angular_step must be in (0, pi], got {self.angular_step}")
-        for name in ("footprint_radius", "camera_height", "standing_height",
-                     "lambda_item", "los_clearance"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.los_target_exclusion < 0 or self.floor_slab < 0:
-            raise ConfigError("los_target_exclusion and floor_slab must be nonnegative")
+        if not 1 <= len(self.radii) <= 16 or list(self.radii) != sorted(self.radii):
+            raise ConfigError(f"radii must be 1 to 16 ascending values, got {self.radii}")
 
 
 @dataclass

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import JsonCodec
-from .errors import ConfigError, DegenerateGeometryError, NoGraspError, NoPoseError
+from .codec import JsonCodec, bounded
+from .errors import DegenerateGeometryError, NoGraspError, NoPoseError
 from .grasp import GraspCandidate
 from .nav import BodyCandidate
 
@@ -38,13 +38,9 @@ DEFAULT_TEMPERATURE = 1.0
 
 @dataclass(frozen=True)
 class OptimizerWeights(JsonCodec):
-    lambda_body: float = DEFAULT_LAMBDA_BODY
-    lambda_align: float = DEFAULT_LAMBDA_ALIGN
-    temperature: float = DEFAULT_TEMPERATURE
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+    lambda_body: float = bounded(DEFAULT_LAMBDA_BODY, ge=0)
+    lambda_align: float = bounded(DEFAULT_LAMBDA_ALIGN, ge=0)
+    temperature: float = bounded(DEFAULT_TEMPERATURE, gt=0)
 
 
 @dataclass(frozen=True)

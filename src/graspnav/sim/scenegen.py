@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..codec import JsonCodec, read_json_object
+from ..codec import JsonCodec, bounded, read_json_object
 from ..errors import ConfigError, GenerationError
 from ..scene import InstanceMask, PointCloudScene
 from .primitives import Box, Cylinder, aabbs_overlap, stratified_rect
@@ -46,17 +46,18 @@ class ObjectSpec(JsonCodec):
 
     label: str
     shape: str
-    size: tuple[float, ...]
+    size: tuple[float, ...] = bounded(gt=0)
     tier: str
 
     def __post_init__(self):
+        super().__post_init__()
         if self.shape not in _SHAPES:
             raise ConfigError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
         if self.tier not in TIERS:
             raise ConfigError(f"tier must be one of {TIERS}, got {self.tier!r}")
         expected = 3 if self.shape == "box" else 2
         size = tuple(float(x) for x in self.size)
-        if len(size) != expected or any(s <= 0 for s in size):
+        if len(size) != expected:
             raise ConfigError(
                 f"{self.shape} size needs {expected} positive values, got {self.size}")
         object.__setattr__(self, "size", size)
@@ -68,48 +69,43 @@ class CabinetSpec(JsonCodec):
 
     center: tuple[float, float] = (1.2, 0.0)
     facing: str = "-x"
-    width: float = 0.6
-    height: float = 0.8
-    depth: float = 0.5
-    n_drawers: int = 3
-    handle_width: float = 0.2
-    handle_height: float = 0.05
-    front_proud: float = 0.01
-    handle_proud: float = 0.03
-    clear_front: float = 1.2
+    width: float = bounded(0.6, gt=0)
+    height: float = bounded(0.8, gt=0)
+    depth: float = bounded(0.5, gt=0)
+    n_drawers: int = bounded(3, ge=1)
+    handle_width: float = bounded(0.2, gt=0)
+    handle_height: float = bounded(0.05, gt=0)
+    front_proud: float = bounded(0.01, gt=0)
+    handle_proud: float = bounded(0.03, gt=0)
+    clear_front: float = bounded(1.2, ge=0)
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "center", tuple(float(x) for x in self.center))
         if len(self.center) != 2:
             raise ConfigError(f"cabinet center must be (x, y), got {self.center}")
         if self.facing not in _FACINGS:
             raise ConfigError(
                 f"facing must be one of {sorted(_FACINGS)}, got {self.facing!r}")
-        for name in ("width", "height", "depth", "handle_width", "handle_height",
-                     "front_proud", "handle_proud"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_drawers < 1:
-            raise ConfigError(f"n_drawers must be >= 1, got {self.n_drawers}")
-        if self.clear_front < 0:
-            raise ConfigError(f"clear_front must be >= 0, got {self.clear_front}")
 
 
 @dataclass(frozen=True)
 class SceneSpec(JsonCodec):
     """Everything needed to generate a scene, minus the seed."""
 
-    floor_extent: float = 4.0
-    density: float = DEFAULT_DENSITY
+    floor_extent: float = bounded(4.0, gt=0)
+    density: float = bounded(DEFAULT_DENSITY, gt=0)   # points per m^2
     objects: tuple[ObjectSpec, ...] = ()
     cabinet: CabinetSpec | None = None
 
     def __post_init__(self):
-        if self.floor_extent <= 0:
-            raise ConfigError(f"floor_extent must be positive, got {self.floor_extent}")
-        if self.density <= 0:
-            raise ConfigError(f"density must be positive, got {self.density}")
+        super().__post_init__()
         object.__setattr__(self, "objects", tuple(self.objects))
+        if len(self.objects) > 64:
+            raise ConfigError(f"objects must hold at most 64, got {len(self.objects)}")
+        if self.density * self.floor_extent * self.floor_extent > 4_000_000:
+            raise ConfigError("density * floor_extent^2 must be <= 4000000 floor points,"
+                              f" got {self.density} * {self.floor_extent}^2")
 
 
 def load_scene_spec(path: str | Path) -> SceneSpec:

@@ -158,6 +158,26 @@ class TestPose:
         for i in range(5):
             np.testing.assert_allclose(batch[i], pose.apply(pts[i]), atol=1e-15)
 
+    def test_compose_and_inverse_equal_checked_poses_bit_for_bit(self):
+        # compose and inverse skip the rotation check on operands that were
+        # checked already; each result equals Pose() of the same arrays in
+        # value bits and memory layout, and stays read-only
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            a, b = random_pose(rng), random_pose(rng)
+            rt = a.rotation.T
+            cases = [(a.compose(b), a.rotation @ b.rotation,
+                      a.rotation @ b.translation + a.translation),
+                     (a.inverse(), rt, -(rt @ a.translation))]
+            for got, rotation, translation in cases:
+                want = Pose(rotation, translation)
+                for g, w in [(got.rotation, want.rotation),
+                             (got.translation, want.translation)]:
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.strides == w.strides
+                    assert g.tobytes() == w.tobytes()
+                    assert not g.flags.writeable
+
 
 class TestLookAt:
     def test_target_lands_on_principal_ray(self):
