@@ -14,6 +14,7 @@ File formats:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ EMBEDDING_NORM_TOL = 1e-6
 
 _FLOAT_TYPES = {"float", "float32", "float64", "double"}
 _UCHAR_TYPES = {"uchar", "uint8"}
+_COLOR_NAMES = ("red", "green", "blue")
 # PLY scalar types as little-endian numpy types, for binary payloads
 _BINARY_TYPES = {
     "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
@@ -64,9 +66,16 @@ def read_ply(path: str) -> tuple[np.ndarray, np.ndarray | None]:
         raise FileFormatError(
             f"{path}: vertex {int(np.argmax(bad))} has a non-finite coordinate")
     colors = None
-    if all(c in names for c in ("red", "green", "blue")):
-        colors = np.stack([column[c] for c in ("red", "green", "blue")],
-                          axis=1).astype(np.uint8)
+    if all(c in names for c in _COLOR_NAMES):
+        rgb = np.stack([column[c] for c in _COLOR_NAMES], axis=1)
+        # ASCII values arrive as floats; NaN fails every comparison
+        bad = ~((rgb >= 0) & (rgb <= 255) & (rgb == np.round(rgb)))
+        if bad.any():
+            vertex, channel = (int(i) for i in np.argwhere(bad)[0])
+            raise FileFormatError(
+                f"{path}: vertex {vertex} has {_COLOR_NAMES[channel]} "
+                f"{rgb[vertex, channel]}, expected an integer in [0, 255]")
+        colors = rgb.astype(np.uint8)
     return points, colors
 
 
@@ -119,7 +128,7 @@ def _read_ply_header(path: str, fh) -> tuple[str, int, list[tuple[str, str]]]:
     for ptype, name in properties:
         if name in ("x", "y", "z") and ptype not in _FLOAT_TYPES:
             raise FileFormatError(f"{path}: property '{name}' must be float, got '{ptype}'")
-        if name in ("red", "green", "blue") and ptype not in _UCHAR_TYPES:
+        if name in _COLOR_NAMES and ptype not in _UCHAR_TYPES:
             raise FileFormatError(f"{path}: property '{name}' must be uchar, got '{ptype}'")
     return fmt, n_vertices, properties
 
@@ -135,7 +144,9 @@ def _header_line(path: str, fh) -> str:
 
 
 def _ascii_vertices(path: str, fh, n_vertices: int, n_columns: int) -> np.ndarray:
-    """(n_vertices, n_columns) floats from the ASCII vertex rows left in `fh`."""
+    """(n_vertices, n_columns) floats from the ASCII vertex rows left in `fh`:
+    one vertex per line, whitespace-separated; lines after the declared
+    rows are ignored."""
     try:
         rows = fh.read().decode("ascii").splitlines()[:n_vertices]
     except UnicodeDecodeError:
@@ -146,15 +157,38 @@ def _ascii_vertices(path: str, fh, n_vertices: int, n_columns: int) -> np.ndarra
             f"{len(rows)} data rows are present")
     if n_vertices == 0:
         return np.empty((0, n_columns))
+    # One C-level parse reads a well-formed file. loadtxt skips blank rows
+    # and rejects `1_0`, which float() reads, so any other shape or error
+    # goes to the per-row parse, which decides and words every rejection.
     try:
-        data = np.array([[float(tok) for tok in row.split()] for row in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # "input contained no data"
+            data = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+        if data.shape == (n_vertices, n_columns):
+            return data
+    except ValueError:
+        pass
+    return _ascii_rows(path, rows, n_columns)
+
+
+def _ascii_rows(path: str, rows: list[str], n_columns: int) -> np.ndarray:
+    """The rows parsed one `float()` per token; raises FileFormatError for
+    a non-numeric token or a row that is not `n_columns` wide."""
+    try:
+        values = [[float(tok) for tok in row.split()] for row in rows]
     except ValueError as exc:
         raise FileFormatError(f"{path}: non-numeric vertex row: {exc}") from exc
-    if data.shape[1] != n_columns:
+    widths = [len(v) for v in values]
+    if min(widths) != max(widths):
+        row = next(i for i, k in enumerate(widths) if k != n_columns)
         raise FileFormatError(
-            f"{path}: vertex rows have {data.shape[1]} columns, "
+            f"{path}: vertex row {row} has {widths[row]} values, "
             f"header declares {n_columns}")
-    return data
+    if widths[0] != n_columns:
+        raise FileFormatError(
+            f"{path}: vertex rows have {widths[0]} columns, "
+            f"header declares {n_columns}")
+    return np.array(values)
 
 
 def _binary_vertices(path: str, fh, n_vertices: int,

@@ -35,6 +35,14 @@ DEFAULT_DENSITY = 2500.0
 _PLACE_MARGIN = 0.25          # clearance between placed objects
 _PLACE_ATTEMPTS = 100
 
+# work caps: every object or cabinet dimension (m), and the points a scene samples
+_MAX_EXTENT = 10.0
+_MAX_POINTS = 4_000_000
+
+
+def _box_area(sx: float, sy: float, sz: float) -> float:
+    return 2.0 * (sx * sy + sx * sz + sy * sz)
+
 
 # ---------------------------------------------------------------------------
 # Specs
@@ -46,7 +54,7 @@ class ObjectSpec(JsonCodec):
 
     label: str
     shape: str
-    size: tuple[float, ...] = bounded(gt=0)
+    size: tuple[float, ...] = bounded(gt=0, le=_MAX_EXTENT)
     tier: str
 
     def __post_init__(self):
@@ -62,6 +70,13 @@ class ObjectSpec(JsonCodec):
                 f"{self.shape} size needs {expected} positive values, got {self.size}")
         object.__setattr__(self, "size", size)
 
+    def sampled_area(self) -> float:
+        """The surface area (m^2) that generation samples at the spec density."""
+        if self.shape == "box":
+            return _box_area(*self.size)
+        r, h = self.size
+        return 2.0 * math.pi * r * h + 2.0 * (2.0 * r) ** 2   # caps: bounding squares
+
 
 @dataclass(frozen=True)
 class CabinetSpec(JsonCodec):
@@ -69,14 +84,14 @@ class CabinetSpec(JsonCodec):
 
     center: tuple[float, float] = (1.2, 0.0)
     facing: str = "-x"
-    width: float = bounded(0.6, gt=0)
-    height: float = bounded(0.8, gt=0)
-    depth: float = bounded(0.5, gt=0)
-    n_drawers: int = bounded(3, ge=1)
-    handle_width: float = bounded(0.2, gt=0)
-    handle_height: float = bounded(0.05, gt=0)
-    front_proud: float = bounded(0.01, gt=0)
-    handle_proud: float = bounded(0.03, gt=0)
+    width: float = bounded(0.6, gt=0, le=_MAX_EXTENT)
+    height: float = bounded(0.8, gt=0, le=_MAX_EXTENT)
+    depth: float = bounded(0.5, gt=0, le=_MAX_EXTENT)
+    n_drawers: int = bounded(3, ge=1, le=32)
+    handle_width: float = bounded(0.2, gt=0, le=_MAX_EXTENT)
+    handle_height: float = bounded(0.05, gt=0, le=_MAX_EXTENT)
+    front_proud: float = bounded(0.01, gt=0, le=_MAX_EXTENT)
+    handle_proud: float = bounded(0.03, gt=0, le=_MAX_EXTENT)
     clear_front: float = bounded(1.2, ge=0)
 
     def __post_init__(self):
@@ -87,6 +102,15 @@ class CabinetSpec(JsonCodec):
         if self.facing not in _FACINGS:
             raise ConfigError(
                 f"facing must be one of {sorted(_FACINGS)}, got {self.facing!r}")
+
+    def sampled_area(self) -> float:
+        """An upper bound on the surface area (m^2) that generation samples:
+        the body, and per drawer a full-width front and a handle."""
+        n = self.n_drawers
+        return (_box_area(self.depth, self.width, self.height)
+                + n * _box_area(self.front_proud, self.width, self.height / n)
+                + n * _box_area(self.handle_proud, self.handle_width,
+                                self.handle_height))
 
 
 @dataclass(frozen=True)
@@ -103,9 +127,13 @@ class SceneSpec(JsonCodec):
         object.__setattr__(self, "objects", tuple(self.objects))
         if len(self.objects) > 64:
             raise ConfigError(f"objects must hold at most 64, got {len(self.objects)}")
-        if self.density * self.floor_extent * self.floor_extent > 4_000_000:
-            raise ConfigError("density * floor_extent^2 must be <= 4000000 floor points,"
-                              f" got {self.density} * {self.floor_extent}^2")
+        area = (self.floor_extent * self.floor_extent
+                + sum(o.sampled_area() for o in self.objects)
+                + (self.cabinet.sampled_area() if self.cabinet else 0.0))
+        if self.density * area > _MAX_POINTS:
+            raise ConfigError(
+                f"density * sampled area must be <= {_MAX_POINTS} points,"
+                f" got {self.density} * {area} m^2")
 
 
 def load_scene_spec(path: str | Path) -> SceneSpec:

@@ -27,6 +27,9 @@ _OBJECT = {"label": "post", "shape": "box", "size": [0.1, 0.1, 0.5],
            "tier": "easy"}
 _RADII = [0.5 + 0.1 * i for i in range(17)]
 _BUDGET_DENSITY = 4_000_000 / 4.0 ** 2     # on the default 4 m floor
+# a 2 x 2 x 1 m box samples 16 m^2, as much as the default floor
+_BIG_BOX = {**_OBJECT, "size": [2.0, 2.0, 1.0]}
+_SURFACE_DENSITY = 4_000_000 / 32.0
 
 # (input, document or argv at the cap, one step past it, key the error names)
 CAPS = [
@@ -51,6 +54,16 @@ CAPS = [
      "objects"),
     ("spec", {"density": _BUDGET_DENSITY},
      {"density": math.nextafter(_BUDGET_DENSITY, math.inf)}, "density"),
+    ("spec", {"density": _SURFACE_DENSITY, "objects": [_BIG_BOX]},
+     {"density": math.nextafter(_SURFACE_DENSITY, math.inf),
+      "objects": [_BIG_BOX]}, "sampled area"),
+    ("spec", {"cabinet": {"n_drawers": 32}}, {"cabinet": {"n_drawers": 33}},
+     "n_drawers"),
+    ("spec", {"cabinet": {"width": 10.0}},
+     {"cabinet": {"width": math.nextafter(10.0, math.inf)}}, "width"),
+    ("spec", {"objects": [{**_OBJECT, "size": [10.0, 10.0, 10.0]}]},
+     {"objects": [{**_OBJECT, "size": [10.0, 10.0, math.nextafter(10.0, 11.0)]}]},
+     "size"),
     ("argv", str(MAX_EPISODES), str(MAX_EPISODES + 1), "--episodes"),
 ]
 
@@ -132,6 +145,9 @@ _CAPPED = {
     RansacParams: {"iterations", "min_inlier_fraction"},
     NoiseModel: {"depth_dropout", "detection_dropout", "confidence_range"},
     DrawerConfig: {"ioa_min"},
+    CabinetSpec: {"width", "height", "depth", "n_drawers", "handle_width",
+                  "handle_height", "front_proud", "handle_proud"},
+    ObjectSpec: {"size"},
 }
 
 _BASE = {ObjectSpec: ObjectSpec("x", "box", (0.1, 0.1, 0.1), "easy")}

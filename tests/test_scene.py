@@ -7,9 +7,12 @@ per-point box-distance filter for isolation, dot-product sort for queries.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspnav.errors import (
     EmptySceneError,
@@ -166,6 +169,231 @@ class TestPlyIO:
             "end_header\n0 zero 0\n")
         with pytest.raises(FileFormatError):
             read_ply(str(path))
+
+    def test_ragged_rows_name_the_first_row_of_the_wrong_width(self, tmp_path):
+        header = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                  "property float y\nproperty float z\nend_header\n")
+        for body, row, width in (("0 0 0 1\n1 1\n", 0, 4), ("0 0 0\n1 1\n", 1, 2)):
+            path = tmp_path / "ragged.ply"
+            path.write_text(header + body)
+            with pytest.raises(FileFormatError) as exc:
+                read_ply(str(path))
+            assert str(exc.value) == (f"{path}: vertex row {row} has {width} values,"
+                                      " header declares 3")
+
+    def test_uniform_wrong_width_keeps_its_message(self, tmp_path):
+        path = tmp_path / "wide.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                        "property float y\nproperty float z\nend_header\n"
+                        "0 0 0 1\n1 1 1 1\n")
+        with pytest.raises(FileFormatError, match="vertex rows have 4 columns, "
+                                                  "header declares 3"):
+            read_ply(str(path))
+
+    @pytest.mark.parametrize("bad", ["300", "-1", "1.5", "nan", "inf", "256"])
+    def test_rejects_colour_outside_uchar(self, tmp_path, bad):
+        path = tmp_path / "colour.ply"
+        path.write_text(_ascii_header(2, ["x", "y", "z", "red", "green", "blue"])
+                        + f"0 0 0 1 2 3\n1 1 1 4 {bad} 6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError) as exc:
+                read_ply(str(path))
+        assert str(exc.value) == (f"{path}: vertex 1 has green {float(bad)},"
+                                  " expected an integer in [0, 255]")
+
+    def test_integral_colour_values_load(self, tmp_path):
+        path = tmp_path / "colour.ply"
+        path.write_text(_ascii_header(2, ["x", "y", "z", "red", "green", "blue"])
+                        + "0 0 0 0 255.0 -0\n1 1 1 1e2 7 254\n")
+        _, colors = read_ply(str(path))
+        np.testing.assert_array_equal(colors, [[0, 255, 0], [100, 7, 254]])
+        assert colors.dtype == np.uint8
+
+
+# ---------------------------------------------------------------------------
+# PLY fuzzers: every file is loaded bit-equal to a reference or rejected
+# ---------------------------------------------------------------------------
+
+_RGB = ("red", "green", "blue")
+
+
+def _ascii_header(n_declared, names, eol="\n"):
+    lines = ["ply", "format ascii 1.0", f"element vertex {n_declared}"]
+    lines += [f"property {'uchar' if name in _RGB else 'double'} {name}"
+              for name in names]
+    return eol.join(lines + ["end_header"]) + eol
+
+
+def _reference_ascii(body: bytes, n_declared: int, names: list[str]):
+    """The per-row reader, one float() per token: (points, colors) or None
+    where the file is rejected."""
+    try:
+        rows = body.decode("ascii").splitlines()[:n_declared]
+    except UnicodeDecodeError:
+        return None
+    if len(rows) < n_declared:
+        return None
+    data = np.empty((0, len(names)))
+    if n_declared:
+        try:
+            data = np.array([[float(tok) for tok in row.split()] for row in rows])
+        except ValueError:          # a bad token, or ragged rows
+            return None
+        if data.shape[1] != len(names):
+            return None
+    column = dict(zip(names, data.T))
+    points = np.stack([column[c] for c in "xyz"], axis=1)
+    if not np.isfinite(points).all():
+        return None
+    if not all(c in names for c in _RGB):
+        return points, None
+    rgb = np.stack([column[c] for c in _RGB], axis=1)
+    if not all(float(v).is_integer() and 0 <= v <= 255 for v in rgb.flat):
+        return None
+    return points, rgb.astype(np.uint8)
+
+
+def _load_or_none(path):
+    """read_ply's result, or None for a FileFormatError; a warning or any
+    other exception fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return read_ply(str(path))
+        except FileFormatError:
+            return None
+
+
+def _assert_same_load(got, want):
+    assert (got is None) == (want is None), (got, want)
+    if want is None:
+        return
+    assert got[0].dtype == np.float64 and got[0].shape == want[0].shape
+    np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].dtype == np.uint8
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+_FINITE_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from([repr(v), f"{v:.3e}", f"{v:G}", f"{v:.17g}"])),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["1e308", "-1e-320", "5e-324", "-1E+5", "+.5", "-0", "7."]))
+_COORD_TOKENS = st.one_of(
+    _FINITE_TOKENS, st.sampled_from(["1e400", "Infinity", "-nan", "NaN", "-inf"]))
+_UCHAR_TOKENS = st.one_of(st.integers(0, 255).map(str),
+                          st.sampled_from(["255.0", "0e3", "-0", "1e2"]))
+_COLOUR_TOKENS = st.one_of(
+    _UCHAR_TOKENS, st.sampled_from(["300", "-1", "1.5", "nan", "256", "1e400"]))
+_SEPARATORS = st.sampled_from([" ", " ", "\t", "  ", " \t "])
+_MUTATIONS = [None] * 6 + ["blank row", "ragged row", "extra column",
+                           "comment", "underscore", "non-ascii", "short",
+                           "trailing lines"]
+
+
+@st.composite
+def _ascii_ply(draw):
+    """(file bytes, body bytes, declared vertex count, property names)."""
+    names = ["x", "y", "z"] + list(_RGB[:draw(st.integers(0, 3))])
+    n = draw(st.integers(0, 12))
+    # most files hold only finite coordinates and valid colours, so that
+    # most reach the end of the parse
+    coords = draw(st.sampled_from([_FINITE_TOKENS] * 3 + [_COORD_TOKENS]))
+    colours = draw(st.sampled_from([_UCHAR_TOKENS] * 3 + [_COLOUR_TOKENS]))
+    rows = [[draw(coords if name in "xyz" else colours) for name in names]
+            for _ in range(n)]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    at = draw(st.integers(0, max(n - 1, 0)))
+    n_declared, tail, rows = n, "", [list(r) for r in rows]
+    if mutation == "short":
+        n_declared = n + 1
+    elif mutation == "trailing lines":
+        tail = eol.join(["1 2 3", "", "garbage #", "1_0"]) + eol
+    elif mutation == "extra column":
+        rows = [r + ["0"] for r in rows]
+    elif rows and mutation == "blank row":
+        rows.insert(at, [])
+        rows.pop()
+    elif rows and mutation == "ragged row":
+        rows[at].pop()
+    elif rows and mutation == "comment":
+        rows[at].append("# note")
+    elif rows and mutation == "underscore":
+        rows[at][0] = "1_0"
+    lines = []
+    for r in rows:
+        sep = draw(_SEPARATORS)
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
+        lines.append(lead + sep.join(r) + trail)
+    body = "".join(line + eol for line in lines) + tail
+    raw = body.encode("ascii")
+    if rows and mutation == "non-ascii":
+        cut = draw(st.integers(0, len(raw) - 1))
+        raw = raw[:cut] + b"\xe9" + raw[cut:]
+    return _ascii_header(n_declared, names, eol).encode("ascii") + raw, raw, n_declared, names
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ascii_ply())
+def test_ascii_ply_fuzz_matches_per_row_reference(tmp_path_factory, case):
+    data, body, n_declared, names = case
+    path = tmp_path_factory.mktemp("ply") / "cloud.ply"
+    path.write_bytes(data)
+    _assert_same_load(_load_or_none(path), _reference_ascii(body, n_declared, names))
+
+
+@st.composite
+def _binary_ply(draw):
+    """(file bytes, the records as written, whether the payload is short)."""
+    coord_type = [draw(st.sampled_from(["float", "double"])) for _ in "xyz"]
+    fields = [(t, c) for t, c in zip(coord_type, "xyz")]
+    if draw(st.booleans()):
+        fields.append(("ushort", "intensity"))
+    if draw(st.booleans()):
+        fields += [("uchar", c) for c in _RGB]
+    dtype = np.dtype([(name, {"float": "<f4", "double": "<f8", "ushort": "<u2",
+                               "uchar": "u1"}[ptype]) for ptype, name in fields])
+    n = draw(st.integers(0, 12))
+    records = np.zeros(n, dtype=dtype)
+    for ptype, name in fields:
+        if ptype in ("float", "double"):
+            width = 32 if ptype == "float" else 64
+            values = st.floats(allow_nan=True, allow_infinity=True, width=width)
+        else:
+            values = st.integers(0, 255 if ptype == "uchar" else 65535)
+        records[name] = draw(st.lists(values, min_size=n, max_size=n))
+    payload = records.tobytes()
+    cut = draw(st.sampled_from([0, 0, 0, 1, dtype.itemsize, len(payload)]))
+    short = 0 < cut <= len(payload)
+    if short:
+        payload = payload[:-cut]
+    elif draw(st.booleans()):
+        payload += b"\x00trailing"
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
+    header += [f"property {ptype} {name}" for ptype, name in fields]
+    return ("\n".join(header + ["end_header"]) + "\n").encode("ascii") + payload, \
+        records, short
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binary_ply())
+def test_binary_ply_fuzz_matches_records(tmp_path_factory, case):
+    data, records, short = case
+    path = tmp_path_factory.mktemp("ply") / "cloud.ply"
+    path.write_bytes(data)
+    want = None
+    if not short:
+        points = np.stack([records[c].astype(np.float64) for c in "xyz"], axis=1)
+        if np.isfinite(points).all():
+            colors = (np.stack([records[c] for c in _RGB], axis=1)
+                      if "red" in records.dtype.names else None)
+            want = (points, colors)
+    _assert_same_load(_load_or_none(path), want)
 
 
 # ---------------------------------------------------------------------------
