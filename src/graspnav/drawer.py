@@ -263,18 +263,17 @@ def estimate_axis(pair: MatchedPair, frame: DetectionFrame,
     du_lo, dv_lo, du_hi, dv_hi = _pixel_rect(pair.drawer.bbox, frame.intrinsics)
     if du_lo > du_hi or dv_lo > dv_hi:
         raise DegenerateInputError("drawer box lies outside the image")
-    us, vs = np.meshgrid(np.arange(du_lo, du_hi + 1), np.arange(dv_lo, dv_hi + 1))
-    us = us.ravel()
-    vs = vs.ravel()
+    us = np.arange(du_lo, du_hi + 1)
+    vs = np.arange(dv_lo, dv_hi + 1)
     hb = pair.handle.bbox
-    in_handle = ((us >= hb.xmin) & (us <= hb.xmax)
-                 & (vs >= hb.ymin) & (vs <= hb.ymax))
-    depths = frame.depth[vs, us]
-    keep = ~in_handle & (depths > 0.0)
-    if int(np.count_nonzero(keep)) < 3:
+    in_handle = np.outer((vs >= hb.ymin) & (vs <= hb.ymax),
+                         (us >= hb.xmin) & (us <= hb.xmax))
+    patch = frame.depth[dv_lo:dv_hi + 1, du_lo:du_hi + 1]
+    rows, cols = np.nonzero(~in_handle & (patch > 0.0))  # row-major pixel order
+    if len(rows) < 3:
         raise DegenerateInputError(
             "fewer than 3 depth points around the handle to fit the front plane")
-    points = backproject_many(us[keep], vs[keep], depths[keep],
+    points = backproject_many(us[cols], vs[rows], patch[rows, cols],
                               frame.intrinsics, frame.cam_pose)
     plane = ransac_plane(points, ransac, seed=seed)
     axis = np.asarray(plane.normal, dtype=np.float64).copy()

@@ -378,20 +378,22 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
                  seed: int = 0) -> Plane:
     """Fit the dominant plane by seeded RANSAC with a least-squares refit.
 
-    Samples `params.iterations` point triplets and scores them in order,
-    in blocks of `_RANSAC_CHUNK`, keeping the hypothesis with the most
-    points within `params.threshold` of it (first hypothesis wins ties).
-    Scoring stops after the block in which the Fischler-Bolles bound
+    Draws `params.iterations` point triplets up front, then builds and
+    scores their hypothesis planes in order, one block of `_RANSAC_CHUNK`
+    at a time, keeping the plane with the most points within
+    `params.threshold` of it (first hypothesis wins ties). Scoring stops
+    after the block in which the Fischler-Bolles bound
     ``1 - (1 - w**3)**k >= _RANSAC_CONFIDENCE`` holds, where `k` counts
     the non-degenerate hypotheses scored so far and `w` is the best inlier
-    share; `params.iterations` is only a cap. The winner is refit by total
-    least squares on its inliers, and the plane reports the refit's inlier
-    count.
+    share, so `params.iterations` only caps the draw and blocks after the
+    stop are never built. The winner is refit by total least squares on
+    its inliers, and the plane reports the refit's inlier count.
 
     Raises:
         DegenerateInputError: fewer than 3 points, or all points collinear.
-        NoPlaneFoundError: the best plane captures less than
-            `params.min_inlier_fraction` of the points.
+        NoPlaneFoundError: every drawn triplet is degenerate, or the best
+            plane captures less than `params.min_inlier_fraction` of the
+            points.
     """
     pts = _as_points(points)
     n = len(pts)
@@ -404,35 +406,34 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
 
     rng = np.random.default_rng(seed)
     triplets = rng.integers(0, n, size=(params.iterations, 3))
-    a = pts[triplets[:, 0]]
-    normals = np.cross(pts[triplets[:, 1]] - a, pts[triplets[:, 2]] - a)
-    lengths = np.linalg.norm(normals, axis=1)
-    valid = lengths > 1e-12
-    if not np.any(valid):
-        raise NoPlaneFoundError("all sampled triplets were degenerate")
-    normals[valid] /= lengths[valid, None]
-    offsets = np.einsum("ij,ij->i", normals, a)
-
     best_count = -1
-    best_iter = -1
     scored = 0
     for lo in range(0, params.iterations, _RANSAC_CHUNK):
-        hi = min(lo + _RANSAC_CHUNK, params.iterations)
-        block = valid[lo:hi]
-        if not np.any(block):
+        block = triplets[lo:lo + _RANSAC_CHUNK]
+        a = pts[block[:, 0]]
+        normals = np.cross(pts[block[:, 1]] - a, pts[block[:, 2]] - a)
+        lengths = np.linalg.norm(normals, axis=1)
+        valid = lengths > 1e-12
+        if not np.any(valid):
             continue
-        dist = np.abs(pts @ normals[lo:hi].T - offsets[lo:hi])  # (n, chunk)
-        counts = np.count_nonzero(dist <= params.threshold, axis=0)
-        counts[~block] = -1
+        normals[valid] /= lengths[valid, None]
+        offsets = np.einsum("ij,ij->i", normals, a)
+        dist = normals @ pts.T  # (block, n)
+        dist -= offsets[:, None]
+        np.abs(dist, out=dist)
+        counts = np.count_nonzero(dist <= params.threshold, axis=1)
+        counts[~valid] = -1
         k = int(np.argmax(counts))
         if counts[k] > best_count:
             best_count = int(counts[k])
-            best_iter = lo + k
-        scored += int(np.count_nonzero(block))
+            best_normal, best_offset = normals[k], offsets[k]
+        scored += int(np.count_nonzero(valid))
         if 1.0 - (1.0 - (best_count / n) ** 3) ** scored >= _RANSAC_CONFIDENCE:
             break
+    if best_count < 0:
+        raise NoPlaneFoundError("all sampled triplets were degenerate")
 
-    inliers = np.abs(pts @ normals[best_iter] - offsets[best_iter]) <= params.threshold
+    inliers = np.abs(pts @ best_normal - best_offset) <= params.threshold
     normal, offset = _lstsq_plane(pts[inliers])
     final_count = int(np.count_nonzero(np.abs(pts @ normal - offset) <= params.threshold))
     if final_count < params.min_inlier_fraction * n:

@@ -34,6 +34,7 @@ DEFAULT_DENSITY = 2500.0
 
 _PLACE_MARGIN = 0.25          # clearance between placed objects
 _PLACE_ATTEMPTS = 100
+_FRONT_INSET = 0.04           # drawer fronts are this much narrower than the cabinet
 
 # work caps: every object or cabinet dimension (m), and the points a scene samples
 _MAX_EXTENT = 10.0
@@ -84,7 +85,7 @@ class CabinetSpec(JsonCodec):
 
     center: tuple[float, float] = (1.2, 0.0)
     facing: str = "-x"
-    width: float = bounded(0.6, gt=0, le=_MAX_EXTENT)
+    width: float = bounded(0.6, gt=_FRONT_INSET, le=_MAX_EXTENT)
     height: float = bounded(0.8, gt=0, le=_MAX_EXTENT)
     depth: float = bounded(0.5, gt=0, le=_MAX_EXTENT)
     n_drawers: int = bounded(3, ge=1, le=32)
@@ -258,7 +259,7 @@ def _build_cabinet(spec: CabinetSpec) -> tuple[Box, list[Box], list[Box], np.nda
 
     drawer_h = spec.height / spec.n_drawers
     front_gap = min(0.02, 0.4 * drawer_h)
-    front_w = spec.width - 0.04
+    front_w = spec.width - _FRONT_INSET
     face_offset = spec.depth / 2.0 + spec.front_proud / 2.0
     handle_offset = spec.depth / 2.0 + spec.front_proud + spec.handle_proud / 2.0
     # grip point: the handle's outer face, the surface a camera measures

@@ -61,6 +61,9 @@ CAPS = [
      "n_drawers"),
     ("spec", {"cabinet": {"width": 10.0}},
      {"cabinet": {"width": math.nextafter(10.0, math.inf)}}, "width"),
+    # drawer fronts are width - 0.04 wide
+    ("spec", {"cabinet": {"width": math.nextafter(0.04, math.inf)}},
+     {"cabinet": {"width": 0.04}}, "width must be > 0.04"),
     ("spec", {"objects": [{**_OBJECT, "size": [10.0, 10.0, 10.0]}]},
      {"objects": [{**_OBJECT, "size": [10.0, 10.0, math.nextafter(10.0, 11.0)]}]},
      "size"),

@@ -492,6 +492,61 @@ class TestRansacEarlyStop:
             np.testing.assert_array_equal(long[:64], short)
 
 
+def _first_seed(iterations: int, wanted) -> int:
+    """The lowest seed whose triplet draw over 3 points satisfies
+    `wanted(distinct)`, where `distinct[i]` says whether triplet i names
+    three different points (the only non-degenerate triplets)."""
+    for seed in range(100_000):
+        draw = np.random.default_rng(seed).integers(0, 3, size=(iterations, 3))
+        distinct = np.array([len(set(t)) == 3 for t in draw.tolist()])
+        if wanted(distinct):
+            return seed
+    raise AssertionError("no seed found")
+
+
+# (points, coordinate scale): fewer points than hypotheses in a block, and
+# coordinates far from the origin, whose products carry large terms
+_LAYOUT_CLOUDS = [(n, scale) for n in (3, 5, 12, 15, 16, 17, 200, 1200, 10_000)
+                  for scale in (1.0, 1e3, 1e4)]
+
+
+class TestRansacBlockLayout:
+    @pytest.mark.parametrize("n, scale", _LAYOUT_CLOUDS)
+    def test_block_layout_distances_equal_the_point_layout(self, n, scale):
+        # ransac_plane scores a block as (block, n); ransac_reference and
+        # predicted_stop score (n, block): a BLAS that rounds the two
+        # layouts differently would make them pick different winners. Every
+        # block size a fit can end on is checked: a one-row block is a
+        # matrix-vector product, whose rounding depends on the points'
+        # memory order
+        rng = np.random.default_rng(n + int(scale))
+        pts = (rng.uniform(-1.0, 1.0, (n, 3)) @ random_rotation(rng).T * scale
+               + rng.uniform(-scale, scale, 3))
+        for block in range(1, 17):
+            normals, offsets, _ = _hypotheses(pts, block, seed=n)
+            dist = normals @ pts.T
+            dist -= offsets[:, None]
+            np.abs(dist, out=dist)
+            expected = np.abs(pts @ normals.T - offsets)
+            assert dist.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+
+    def test_all_degenerate_triplets_raise(self):
+        # two blocks (16 + 4 hypotheses), every triplet repeating a point
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        seed = _first_seed(20, lambda distinct: not distinct.any())
+        with pytest.raises(NoPlaneFoundError, match="all sampled triplets were degenerate"):
+            ransac_plane(pts, RansacParams(iterations=20), seed=seed)
+
+    def test_a_valid_triplet_in_the_last_block_is_found(self):
+        # the first block holds only degenerate triplets and is skipped
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        seed = _first_seed(20, lambda distinct: not distinct[:16].any()
+                           and distinct[16:].any())
+        plane = ransac_plane(pts, RansacParams(iterations=20), seed=seed)
+        assert plane.inlier_count == 3
+        np.testing.assert_allclose(np.abs(plane.normal), [0.0, 0.0, 1.0], atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Farthest point sampling
 # ---------------------------------------------------------------------------
