@@ -63,11 +63,14 @@ class Pose:
             raise InvalidRotationError(f"rotation must be 3x3, got {rot.shape}")
         if tra.shape != (3,):
             raise ValueError(f"translation must have 3 components, got {tra.shape}")
+        if not np.isfinite(tra).all():
+            raise ValueError(f"translation must be finite, got {tra}")
+        # written as `not <=` so that a NaN entry fails the check
         err = np.max(np.abs(rot @ rot.T - np.eye(3)))
-        if err > ROTATION_TOL:
+        if not err <= ROTATION_TOL:
             raise InvalidRotationError(f"matrix is not orthonormal (max |R R^T - I| = {err:.3g})")
         det = float(np.linalg.det(rot))
-        if abs(det - 1.0) > ROTATION_TOL:
+        if not abs(det - 1.0) <= ROTATION_TOL:
             raise InvalidRotationError(f"matrix is not a proper rotation (det = {det:.9f})")
         rot.setflags(write=False)
         tra.setflags(write=False)
@@ -130,15 +133,15 @@ def rotation_about_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def look_at(eye: np.ndarray, target: np.ndarray, up: np.ndarray | None = None) -> Pose:
+def look_at(eye: np.ndarray, target: np.ndarray) -> Pose:
     """Camera pose at `eye` with the optical axis through `target`.
 
-    Uses the x-right / y-down / z-forward camera convention; `up` is the
-    world direction that should map to image-up (negative v).
+    Uses the x-right / y-down / z-forward camera convention; world +z maps
+    to image-up (negative v).
     """
     eye = np.asarray(eye, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    up = np.array([0.0, 0.0, 1.0]) if up is None else np.asarray(up, dtype=np.float64)
+    up = np.array([0.0, 0.0, 1.0])
     fwd = target - eye
     n = np.linalg.norm(fwd)
     if n * n < ZERO_LENGTH_SQ:
@@ -494,19 +497,18 @@ def _segment_clear(a: np.ndarray, b: np.ndarray, obstacles: PointIndex,
 
 
 def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
-                  obstacles: "PointIndex | np.ndarray", clearance: float,
-                  target_exclusion: float = 0.0) -> "bool | np.ndarray":
+                  obstacles: PointIndex, clearance: float) -> "bool | np.ndarray":
     """Whether the segment from each start to `to_point` keeps `clearance`
-    from every obstacle.
+    from every indexed obstacle point.
 
     `from_point` is one (3,) start, which gives a bool, or an (N, 3) batch
     of starts, which gives an (N,) bool array. The segment is closed: an
     obstacle's closest segment point has its parameter t clipped to
     [0, 1], so an obstacle at exactly `clearance` from the start (or from
-    `to_point`) blocks. A zero-length segment is clear. Obstacle points
-    within `target_exclusion` of `to_point` are ignored, so a target
-    surface never blocks the view of its own center. Monotone: shrinking
-    `clearance` never turns a clear view blocked.
+    `to_point`) blocks. A zero-length segment is clear. Which points block
+    sight is decided by whoever builds `obstacles`; for body placement that
+    is `PointCloudScene.obstacle_index`. Monotone: shrinking `clearance`
+    never turns a clear view blocked.
 
     Every segment is sampled at most `_SIGHT_SPACING` (h) apart, so each of
     its points lies within h/2 of a sample, and one kd-tree query finds
@@ -515,6 +517,9 @@ def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
     closer than ``clearance - margin`` is blocked. The remaining segments
     (and near-zero or very long ones) get `_segment_clear`, the exact
     point-to-segment test, so every flag equals the exact test's.
+
+    Raises:
+        DegenerateInputError: a segment's squared length is not finite.
     """
     if clearance < 0:
         raise ValueError(f"clearance must be nonnegative, got {clearance}")
@@ -522,22 +527,20 @@ def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
     single = starts.ndim == 1
     starts = _as_points(starts[None, :] if single else starts)
     b = np.asarray(to_point, dtype=np.float64)
-    if not isinstance(obstacles, PointIndex) or target_exclusion > 0.0:
-        pts = obstacles.points if isinstance(obstacles, PointIndex) else _as_points(obstacles)
-        if target_exclusion > 0.0:
-            pts = pts[np.linalg.norm(pts - b, axis=1) > target_exclusion]
-        obstacles = PointIndex(pts)
+    d = b - starts
+    seg_len_sq = np.einsum("ij,ij->i", d, d)
+    if not np.isfinite(seg_len_sq).all():
+        raise DegenerateInputError("a line-of-sight segment has a non-finite length")
 
     clear = np.ones(len(starts), dtype=bool)
     if len(obstacles):
-        d = b - starts
-        seg_len_sq = np.einsum("ij,ij->i", d, d)
-        n_samples = np.ceil(np.sqrt(seg_len_sq) / _SIGHT_SPACING).astype(np.intp) + 1
+        # counts stay float until the cap, so a huge length cannot overflow the cast
+        n_samples = np.ceil(np.sqrt(seg_len_sq) / _SIGHT_SPACING) + 1
         # the exact test owns the zero-length rule, so near-zero segments go there
         use_samples = (seg_len_sq >= 2.0 * ZERO_LENGTH_SQ) & (n_samples <= _SIGHT_MAX_SAMPLES)
         sampled, exact = np.flatnonzero(use_samples), np.flatnonzero(~use_samples)
         if len(sampled):
-            counts = n_samples[sampled]
+            counts = n_samples[sampled].astype(np.intp)
             first = np.cumsum(counts) - counts
             seg = np.repeat(np.arange(len(sampled)), counts)
             t = (np.arange(int(counts.sum())) - first[seg]) / (counts[seg] - 1)

@@ -31,22 +31,24 @@ REASON_NO_LINE_OF_SIGHT = "no-line-of-sight"
 
 # Guard against float fuzz when the step divides the circle evenly.
 _RING_COUNT_EPS = 1e-9
+# m; caps every length, far above any room a mobile base plans in
+_MAX_LENGTH = 100.0
 
 
 @dataclass(frozen=True)
 class NavConfig(JsonCodec):
     """Sampling radii and validation thresholds; all serializable."""
 
-    radii: tuple[float, ...] = bounded((0.7, 0.9, 1.1), gt=0)
+    radii: tuple[float, ...] = bounded((0.7, 0.9, 1.1), gt=0, le=_MAX_LENGTH)
     # at most 1000 candidates per ring
     angular_step: float = bounded(2.0 * math.pi / 36.0, ge=2.0 * math.pi / 1000.0,
                                   le=math.pi)
-    footprint_radius: float = bounded(0.35, gt=0)
-    camera_height: float = bounded(0.8, gt=0)
-    standing_height: float = bounded(0.5, gt=0)
+    footprint_radius: float = bounded(0.35, gt=0, le=_MAX_LENGTH)
+    camera_height: float = bounded(0.8, gt=0, le=_MAX_LENGTH)
+    standing_height: float = bounded(0.5, gt=0, le=_MAX_LENGTH)
     lambda_item: float = bounded(0.5, gt=0)
-    los_clearance: float = bounded(0.10, gt=0)
-    los_target_exclusion: float = bounded(0.25, ge=0)
+    los_clearance: float = bounded(0.10, gt=0, le=_MAX_LENGTH)
+    los_target_exclusion: float = bounded(0.25, ge=0, le=_MAX_LENGTH)
     floor_slab: float = bounded(0.02, ge=0)
 
     def __post_init__(self):
@@ -107,39 +109,49 @@ def sample_positions(target: np.ndarray, config: NavConfig) -> list[BodyCandidat
     return out
 
 
+def check_stance(scene: PointCloudScene, positions: np.ndarray,
+                 exclude_instance: int | None,
+                 config: NavConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether a body can stand at each of the (N, 2) ground `positions`.
+
+    Returns (N,) arrays `inside` (within the scene bounds shrunk by the
+    footprint radius), `clear` (clearance at least the footprint radius)
+    and `clearance`: the distance at standing height to the nearest point
+    outside `exclude_instance` and above the floor slab, which the robot
+    stands on. All positions share one kd-tree query.
+    """
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    lo, hi = scene.bounds
+    inside = (np.all(positions >= lo[:2] + config.footprint_radius, axis=1)
+              & np.all(positions <= hi[:2] - config.footprint_radius, axis=1))
+    standing = np.column_stack([positions, np.full(len(positions), config.standing_height)])
+    try:
+        clearance = scene.distance_to_obstacles(standing, exclude_instance,
+                                                min_z=float(lo[2]) + config.floor_slab)
+    except EmptySceneError:
+        # With every obstacle excluded the clearance check is vacuous; use
+        # the scene diagonal as a finite, JSON-safe stand-in.
+        clearance = np.full(len(positions), float(np.linalg.norm(hi - lo)))
+    return inside, clearance >= config.footprint_radius, clearance
+
+
 def validate_candidates(candidates: list[BodyCandidate], scene: PointCloudScene,
                         target_instance: int, config: NavConfig) -> list[BodyCandidate]:
     """Mark each candidate valid or invalid; element-wise and order-stable.
 
-    In-scene check: position inside the scene bounds shrunk by the
-    footprint radius, and at least footprint_radius from the nearest
-    non-target obstacle at standing height (floor slab excluded, since the
-    robot stands on the floor). Line-of-sight check: from the camera point
-    to the target centroid against all non-target points, ignoring points
-    within los_target_exclusion of the centroid so the support surface
-    right under the object does not count as a blocker. Both checks run
-    batched: one clearance query for all standing points, one
-    line-of-sight call for the in-scene camera points.
+    In-scene check: `check_stance`, with the target excluded. Line-of-sight
+    check: from the camera point to the target centroid, blocked by the
+    points of `scene.obstacle_index` with `los_target_exclusion`, so the
+    support surface right under the object does not block. One clearance
+    query and one line-of-sight call serve all candidates.
     """
     centroid = scene.centroid_of(target_instance)
-    min_z = float(scene.bounds[0][2]) + config.floor_slab
-    lo = scene.bounds[0][:2] + config.footprint_radius
-    hi = scene.bounds[1][:2] - config.footprint_radius
     los_index = scene.obstacle_index(exclude_instance=target_instance,
                                      target_exclusion=config.los_target_exclusion)
     positions = np.array([cand.position for cand in candidates]).reshape(-1, 2)
-    standing = np.column_stack([positions, [c.standing_height for c in candidates]])
     cameras = np.column_stack([positions, [c.camera_height for c in candidates]])
-    try:
-        d_obstacles = scene.distance_to_obstacles(
-            standing, exclude_instance=target_instance, min_z=min_z)
-    except EmptySceneError:
-        # With every non-floor obstacle excluded the clearance check is
-        # vacuous; use the scene diagonal as a finite, JSON-safe stand-in.
-        d_obstacles = np.full(len(candidates),
-                              float(np.linalg.norm(scene.bounds[1] - scene.bounds[0])))
-    in_scene = (np.all(positions >= lo, axis=1) & np.all(positions <= hi, axis=1)
-                & (d_obstacles >= config.footprint_radius))
+    inside, clear, d_obstacles = check_stance(scene, positions, target_instance, config)
+    in_scene = inside & clear
     sight = np.zeros(len(candidates), dtype=bool)
     sight[in_scene] = line_of_sight(cameras[in_scene], centroid, los_index,
                                     clearance=config.los_clearance)

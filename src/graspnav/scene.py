@@ -284,10 +284,10 @@ class PointCloudScene:
         """Index over scene points outside the excluded instance / floor slab.
 
         With `target_exclusion` > 0 it also drops the points within that
-        distance of the excluded instance's centroid, the line-of-sight
-        obstacles of `nav.validate_candidates`. Built lazily and cached per
-        (exclude_instance, min_z, target_exclusion); scenes are immutable
-        so cached indexes stay valid.
+        distance of the excluded instance's centroid; this is the one rule
+        for which points block the line of sight of body placement. Built
+        lazily and cached per (exclude_instance, min_z, target_exclusion);
+        scenes are immutable so cached indexes stay valid.
         """
         if exclude_instance is not None:
             self.instance(exclude_instance)  # raise before caching odd keys
@@ -332,8 +332,7 @@ class PointCloudScene:
             raise ValueError(f"query embedding must be unit length, got norm {norm}")
         scored = [(float(inst.embedding @ q), inst) for inst in embedded]
         scored.sort(key=lambda pair: (-pair[0], pair[1].id))
-        return [QueryResult(inst.id, sim, self.points[inst.point_indices].mean(axis=0))
-                for sim, inst in scored]
+        return [QueryResult(inst.id, sim, self.centroid_of(inst.id)) for sim, inst in scored]
 
     def distance_to_obstacles(self, p: np.ndarray,
                               exclude_instance: int | None = None,

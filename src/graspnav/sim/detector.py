@@ -37,7 +37,7 @@ def _project_box(box: Box, intrinsics: CameraIntrinsics,
 
 
 def detect_boxes(cabinet: PlacedCabinet, intrinsics: CameraIntrinsics,
-                 cam_pose: Pose, noise: NoiseModel | None = None,
+                 cam_pose: Pose, noise: NoiseModel = NoiseModel.noiseless(),
                  seed: int = 0) -> list[Detection2D]:
     """Detect visible drawer fronts and handles from one viewpoint.
 
@@ -57,10 +57,6 @@ def detect_boxes(cabinet: PlacedCabinet, intrinsics: CameraIntrinsics,
                 continue
             bbox = _project_box(box, intrinsics, cam_pose)
             if bbox is None:
-                continue
-            if noise is None:
-                out.append(Detection2D(class_label=class_label, bbox=bbox,
-                                       confidence=1.0))
                 continue
             # fixed draw layout per visible candidate: drop, jitter x/y, conf
             u_drop = rng.random()

@@ -28,6 +28,7 @@ from ..drawer import DetectionFrame, plan_pull, refine_target
 from ..errors import InvalidAxisError, StageError
 from ..geometry import Pose, farthest_point_sample, look_at
 from ..grasp import GraspBatch, GraspCandidate, sweep_pose, sweep_rotations
+from ..nav import check_stance
 from ..pipeline import STAGE_ERRORS, STAGES, perceive_drawers, plan_grasp
 from ..scene import PointCloudScene
 from .detector import detect_boxes
@@ -271,18 +272,12 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
     except InvalidAxisError:
         return report("navigation", "axis-unpullable")
     body_xy = plan.body_pose.translation[:2]
-    lo, hi = scene.bounds
     details["body_position"] = [float(body_xy[0]), float(body_xy[1])]
-    if (body_xy[0] < lo[0] + nav.footprint_radius
-            or body_xy[0] > hi[0] - nav.footprint_radius
-            or body_xy[1] < lo[1] + nav.footprint_radius
-            or body_xy[1] > hi[1] - nav.footprint_radius):
+    (inside,), (clear,), (clearance,) = check_stance(scene, body_xy, None, nav)
+    if not inside:
         return report("navigation", "body-out-of-scene")
-    standing = np.array([body_xy[0], body_xy[1], nav.standing_height])
-    clearance = scene.distance_to_obstacles(standing, None,
-                                            min_z=float(lo[2]) + nav.floor_slab)
     details["body_clearance"] = float(clearance)
-    if clearance < nav.footprint_radius:
+    if not clear:
         return report("navigation", "body-collides")
 
     # manipulation: close-range looks refine the estimate, then tolerance

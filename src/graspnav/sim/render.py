@@ -74,15 +74,15 @@ def trace_depth(primitives: Sequence, intrinsics: CameraIntrinsics,
     return np.where(np.isfinite(t_best), t_best, 0.0)
 
 
-def add_depth_noise(depth: np.ndarray, noise: NoiseModel | None,
+def add_depth_noise(depth: np.ndarray, noise: NoiseModel,
                     seed: int) -> np.ndarray:
     """Seeded sensor noise over a depth image; the input is left unchanged.
 
     Valid depths get Gaussian noise (values pushed nonpositive become
-    invalid) and a fraction is dropped to 0. Without a noise model, or
-    with a noiseless one, the input itself is returned.
+    invalid) and a fraction is dropped to 0. With no depth noise or
+    dropout the input itself is returned.
     """
-    if noise is None or (noise.depth_sigma <= 0 and noise.depth_dropout <= 0):
+    if noise.depth_sigma <= 0 and noise.depth_dropout <= 0:
         return depth
     rng = np.random.default_rng(seed)
     if noise.depth_sigma > 0:
@@ -95,7 +95,7 @@ def add_depth_noise(depth: np.ndarray, noise: NoiseModel | None,
 
 
 def render_depth(primitives: Sequence, intrinsics: CameraIntrinsics,
-                 cam_pose: Pose, noise: NoiseModel | None = None,
+                 cam_pose: Pose, noise: NoiseModel = NoiseModel.noiseless(),
                  seed: int = 0) -> np.ndarray:
     """Depth image of `trace_depth` with `add_depth_noise` applied."""
     return add_depth_noise(trace_depth(primitives, intrinsics, cam_pose),

@@ -18,7 +18,7 @@ from graspnav.cli import main
 from graspnav.config import RunConfig
 from graspnav.drawer import (BBox2D, Detection2D, assignment_costs, ioa,
                              solve_assignment)
-from graspnav.geometry import (CameraIntrinsics, Pose, RansacParams,
+from graspnav.geometry import (CameraIntrinsics, PointIndex, Pose, RansacParams,
                                backproject, farthest_point_sample,
                                line_of_sight, project, ransac_plane)
 from graspnav.grasp import GraspCandidate
@@ -247,7 +247,7 @@ def test_line_of_sight_agrees_with_dense_sampling():
             gaps = np.linalg.norm(seg_points[:, None, :] - kept[None, :, :],
                                   axis=2)
             expected = bool(gaps.min() > clearance)
-        got = line_of_sight(a, b, pts, clearance, target_exclusion=exclusion)
+        got = line_of_sight(a, b, PointIndex(kept), clearance)
         assert got == expected, f"scene {scene_i}: {got} vs oracle {expected}"
 
 

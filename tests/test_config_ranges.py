@@ -45,6 +45,8 @@ CAPS = [
      {"nav": {"angular_step": math.nextafter(_MIN_STEP, 0.0)}}, "angular_step"),
     ("config", {"nav": {"radii": _RADII[:16]}}, {"nav": {"radii": _RADII}},
      "radii"),
+    ("config", {"nav": {"camera_height": 100.0}},
+     {"nav": {"camera_height": math.nextafter(100.0, math.inf)}}, "camera_height"),
     ("config", {"grasp": {"sweep_count": 64}}, {"grasp": {"sweep_count": 65}},
      "sweep_count"),
     ("config", {"grasp": {"top_k": 1000}}, {"grasp": {"top_k": 1001}}, "top_k"),
@@ -143,7 +145,8 @@ _UNBOUNDED = {(CabinetSpec, "center")}
 _CAPPED = {
     SimConfig: {"image_width", "image_height", "view_candidates", "close_looks",
                 "view_span_deg"},
-    NavConfig: {"angular_step"},
+    NavConfig: {"angular_step", "radii", "footprint_radius", "camera_height",
+                "standing_height", "los_clearance", "los_target_exclusion"},
     GraspConfig: {"sweep_count", "top_k", "min_similarity"},
     RansacParams: {"iterations", "min_inlier_fraction"},
     NoiseModel: {"depth_dropout", "detection_dropout", "confidence_range"},

@@ -44,6 +44,7 @@ from graspnav.geometry import (
     rotation_about_z,
     _segment_clear,
 )
+from graspnav.scene import InstanceMask, PointCloudScene
 
 from conftest import random_pose, random_rotation, vga_intrinsics
 
@@ -149,6 +150,14 @@ class TestPose:
         flip = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(InvalidRotationError):
             Pose(flip, np.zeros(3))
+
+    def test_rejects_non_finite_input(self):
+        # every comparison with NaN is False, so the checks read `not <= tol`
+        with pytest.raises(InvalidRotationError):
+            Pose(np.full((3, 3), np.nan), np.zeros(3))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                Pose(np.eye(3), np.array([0.0, bad, 0.0]))
 
     def test_batch_apply_matches_single(self):
         rng = np.random.default_rng(11)
@@ -657,36 +666,29 @@ class TestLineOfSight:
     B = np.array([1.0, 0.0, 0.0])
 
     def test_empty_obstacles(self):
-        assert line_of_sight(self.A, self.B, np.empty((0, 3)), clearance=0.1)
         assert line_of_sight(self.A, self.B, PointIndex(np.empty((0, 3))), clearance=0.1)
 
     def test_midpoint_obstacle_blocks(self):
-        obstacle = np.array([[0.5, 0.0, 0.0]])
+        obstacle = PointIndex(np.array([[0.5, 0.0, 0.0]]))
         assert not line_of_sight(self.A, self.B, obstacle, clearance=0.05)
 
     def test_obstacle_beyond_clearance_passes(self):
-        obstacle = np.array([[0.5, 0.2, 0.0]])
+        obstacle = PointIndex(np.array([[0.5, 0.2, 0.0]]))
         assert line_of_sight(self.A, self.B, obstacle, clearance=0.1)
 
     def test_target_exclusion_ignores_points_near_target(self):
-        # obstacle 2 cm from B would block, but sits inside the exclusion ball
-        obstacle = np.array([[0.99, 0.01, 0.0]])
-        assert not line_of_sight(self.A, self.B, obstacle, clearance=0.05)
-        assert line_of_sight(self.A, self.B, obstacle, clearance=0.05,
-                             target_exclusion=0.05)
+        # obstacle 2 cm from B would block, but sits inside the exclusion
+        # ball that the scene's sight index drops around the target at B
+        scene = PointCloudScene(np.array([self.B, [0.99, 0.01, 0.0]]), None,
+                                [InstanceMask(0, "target", np.array([0]), None, 1.0)], 0)
+        blocking = scene.obstacle_index(exclude_instance=0)
+        excluded = scene.obstacle_index(exclude_instance=0, target_exclusion=0.05)
+        assert not line_of_sight(self.A, self.B, blocking, clearance=0.05)
+        assert line_of_sight(self.A, self.B, excluded, clearance=0.05)
 
     def test_zero_length_segment(self):
-        obstacle = np.array([[0.0, 0.0, 0.0]])
+        obstacle = PointIndex(np.array([[0.0, 0.0, 0.0]]))
         assert line_of_sight(self.A, self.A, obstacle, clearance=0.5)
-
-    def test_point_index_and_array_agree(self):
-        rng = np.random.default_rng(17)
-        pts = rng.uniform(-0.5, 1.5, size=(200, 3))
-        for _ in range(20):
-            a = rng.uniform(-0.5, 1.5, size=3)
-            b = rng.uniform(-0.5, 1.5, size=3)
-            assert (line_of_sight(a, b, pts, 0.08)
-                    == line_of_sight(a, b, PointIndex(pts), 0.08))
 
     def test_matches_dense_sampling_oracle(self):
         # random scenes, regenerating points that land within 2 mm of the
@@ -706,7 +708,7 @@ class TestLineOfSight:
                 if gap > 0.002:
                     pts.append(p)
             pts = np.asarray(pts)
-            got = line_of_sight(a, b, pts, clearance)
+            got = line_of_sight(a, b, PointIndex(pts), clearance)
             want = los_oracle(a, b, pts, clearance)
             agreements += got == want
         assert agreements == 100
@@ -717,7 +719,7 @@ class TestLineOfSight:
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1, 1, size=3)
         b = rng.uniform(-1, 1, size=3)
-        pts = rng.uniform(-1, 1, size=(50, 3))
+        pts = PointIndex(rng.uniform(-1, 1, size=(50, 3)))
         clearance = float(rng.uniform(0.02, 0.3))
         if line_of_sight(a, b, pts, clearance):
             assert line_of_sight(a, b, pts, clearance * shrink)
@@ -735,10 +737,17 @@ def _boundary_points(rng, a, b, clearance):
                      for p in (a + t * d + r * side, a + r * back)])
 
 
-def exact_sight(starts, b, pts, clearance, target_exclusion=0.0):
-    """Per-segment flags from the exact point-to-segment test."""
+def sight_index(pts, b, target_exclusion=0.0):
+    """Index over the points that may block sight of `b`: with an exclusion,
+    only those farther than it from `b`, the rule `los_oracle` applies."""
+    pts = np.asarray(pts, dtype=float)
     if target_exclusion > 0.0:
         pts = pts[np.linalg.norm(pts - b, axis=1) > target_exclusion]
+    return PointIndex(pts)
+
+
+def exact_sight(starts, b, pts, clearance):
+    """Per-segment flags from the exact point-to-segment test."""
     index = PointIndex(pts)
     return np.array([_segment_clear(a, b, index, clearance) for a in starts],
                     dtype=bool)
@@ -769,7 +778,7 @@ class TestBatchedLineOfSight:
             a, b = rng.uniform(-1, 1, size=(2, 3))
             clearance = float(rng.uniform(0.02, 0.2))
             for p in _boundary_points(rng, a, b, clearance):
-                got = line_of_sight(a, b, p[None, :], clearance)
+                got = line_of_sight(a, b, PointIndex(p[None, :]), clearance)
                 assert got == exact_sight([a], b, p[None, :], clearance)[0]
 
     def test_segment_is_closed(self):
@@ -777,8 +786,8 @@ class TestBatchedLineOfSight:
         # end and the interior all block, since the test needs distance > c
         a, b, c = np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.125
         for p in ([-c, 0.0, 0.0], [1.0 + c, 0.0, 0.0], [0.5, c, 0.0]):
-            assert not line_of_sight(a, b, np.array([p]), c)
-            assert line_of_sight(a, b, np.array([p]), c * (1 - 2**-20))
+            assert not line_of_sight(a, b, PointIndex(np.array([p])), c)
+            assert line_of_sight(a, b, PointIndex(np.array([p])), c * (1 - 2**-20))
 
     def test_matches_dense_sampling_oracle(self):
         rng = np.random.default_rng(913)
@@ -793,7 +802,7 @@ class TestBatchedLineOfSight:
                 t = np.clip((pts - a) @ d / (d @ d), 0.0, 1.0)
                 gap = np.linalg.norm(pts - (a + t[:, None] * d), axis=1) - clearance
                 pts = pts[np.abs(gap) > 0.002]
-            got = line_of_sight(starts, b, pts, clearance, target_exclusion=exclusion)
+            got = line_of_sight(starts, b, sight_index(pts, b, exclusion), clearance)
             want = [los_oracle(a, b, pts, clearance, exclusion) for a in starts]
             np.testing.assert_array_equal(got, want)
 
@@ -803,21 +812,21 @@ class TestBatchedLineOfSight:
         # lengths 0, 1e-13 (below the zero-length cut), 1.2e-12 and 0.5
         starts = b + np.array([[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0],
                                [0.0, 1.2e-12, 0.0], [0.5, 0.0, 0.0]])
-        got = line_of_sight(starts, b, pts, 0.05)
+        got = line_of_sight(starts, b, PointIndex(pts), 0.05)
         assert got.tolist() == [True, True, False, False]
         np.testing.assert_array_equal(got, exact_sight(starts, b, pts, 0.05))
-        assert line_of_sight(b, b, pts, 0.05) is True
+        assert line_of_sight(b, b, PointIndex(pts), 0.05) is True
 
     def test_empty_obstacles_clear_every_segment(self):
         rng = np.random.default_rng(914)
         b = rng.uniform(-1, 1, size=3)
         starts = rng.uniform(-1, 1, size=(7, 3))
-        for obstacles in (np.empty((0, 3)), PointIndex(np.empty((0, 3)))):
-            assert line_of_sight(starts, b, obstacles, 0.1).tolist() == [True] * 7
+        empty = PointIndex(np.empty((0, 3)))
+        assert line_of_sight(starts, b, empty, 0.1).tolist() == [True] * 7
         near_target = b + rng.uniform(-0.05, 0.05, size=(30, 3))
-        assert line_of_sight(starts, b, near_target, 0.1,
-                             target_exclusion=0.2).tolist() == [True] * 7
-        assert line_of_sight(np.empty((0, 3)), b, near_target, 0.1).shape == (0,)
+        assert line_of_sight(starts, b, sight_index(near_target, b, 0.2),
+                             0.1).tolist() == [True] * 7
+        assert line_of_sight(np.empty((0, 3)), b, PointIndex(near_target), 0.1).shape == (0,)
 
     def test_single_start_returns_python_bool(self):
         rng = np.random.default_rng(915)
@@ -830,20 +839,17 @@ class TestBatchedLineOfSight:
             one = line_of_sight(a, b, index, 0.1)
             assert type(one) is bool and one == flag
 
-    def test_target_exclusion_with_point_array(self):
-        rng = np.random.default_rng(916)
-        changed = 0
-        for _ in range(15):
-            b = rng.uniform(-1, 1, size=3)
-            starts = rng.uniform(-1.5, 1.5, size=(20, 3))
-            pts = np.vstack([rng.uniform(-1.5, 1.5, size=(25, 3)),
-                             b + rng.uniform(-0.3, 0.3, size=(25, 3))])
-            got = line_of_sight(starts, b, pts, 0.08, target_exclusion=0.25)
-            np.testing.assert_array_equal(got, exact_sight(starts, b, pts, 0.08, 0.25))
-            np.testing.assert_array_equal(
-                got, line_of_sight(starts, b, PointIndex(pts), 0.08, target_exclusion=0.25))
-            changed += int(np.sum(got != line_of_sight(starts, b, pts, 0.08)))
-        assert changed > 0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_lengths_without_warnings(self):
+        b = np.zeros(3)
+        blocking = PointIndex(np.array([[0.0, 0.05, 0.5]]))
+        # the squared length overflows to inf
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            line_of_sight(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e308]]), b, blocking, 0.1)
+        # finite, with a sample count far past what an intp holds
+        far = np.array([0.0, 0.0, 1e150])
+        assert not line_of_sight(far, b, PointIndex(np.array([[0.0, 0.05, 5e149]])), 0.1)
+        assert line_of_sight(far, b, PointIndex(np.array([[1.0, 0.0, 5e149]])), 0.1)
 
     def test_unsampled_segments_take_the_exact_test(self, monkeypatch):
         calls = []
@@ -854,11 +860,12 @@ class TestBatchedLineOfSight:
         monkeypatch.setattr(geometry, "_segment_clear", counted)
         length = _SIGHT_SPACING * (_SIGHT_MAX_SAMPLES + 10)
         a, b = np.zeros(3), np.array([length, 0.0, 0.0])
-        assert not line_of_sight(a, b, np.array([[length / 2, 0.05, 0.0]]), 0.1)
-        assert line_of_sight(a, b, np.array([[length / 2, 0.2, 0.0]]), 0.1)
+        assert not line_of_sight(a, b, PointIndex(np.array([[length / 2, 0.05, 0.0]])), 0.1)
+        assert line_of_sight(a, b, PointIndex(np.array([[length / 2, 0.2, 0.0]])), 0.1)
         assert len(calls) == 2
         # a short segment far from every obstacle is decided by the samples
-        assert line_of_sight(a, np.array([1.0, 0.0, 0.0]), np.array([[0.5, 1.0, 0.0]]), 0.1)
+        assert line_of_sight(a, np.array([1.0, 0.0, 0.0]),
+                             PointIndex(np.array([[0.5, 1.0, 0.0]])), 0.1)
         assert len(calls) == 2
 
 

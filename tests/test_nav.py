@@ -21,6 +21,7 @@ from graspnav.nav import (
     REASON_OUT_OF_SCENE,
     BodyCandidate,
     NavConfig,
+    check_stance,
     sample_positions,
     validate_candidates,
 )
@@ -152,6 +153,30 @@ class TestSamplePositions:
         radii = sorted({round(math.hypot(c.position[0] - 0.4, c.position[1] - 0.2), 9)
                         for c in cands})
         assert radii == [0.7, 0.9, 1.1]
+
+
+class TestCheckStance:
+    CFG = NavConfig()
+
+    def test_shrunk_bounds_are_closed(self):
+        scene = simple_target_scene()
+        lo = scene.bounds[0][:2] + self.CFG.footprint_radius
+        hi = scene.bounds[1][:2] - self.CFG.footprint_radius
+        for axis in (0, 1):
+            for edge, outward in ((lo[axis], -math.inf), (hi[axis], math.inf)):
+                on, past = np.zeros(2), np.zeros(2)
+                on[axis], past[axis] = edge, np.nextafter(edge, outward)
+                inside, _, _ = check_stance(scene, np.stack([on, past]), 0, self.CFG)
+                assert inside.tolist() == [True, False], (axis, edge)
+
+    def test_every_obstacle_excluded_gives_the_scene_diagonal(self):
+        # only the target stands above the floor slab, and it is excluded
+        scene = simple_target_scene()
+        inside, clear, clearance = check_stance(
+            scene, np.array([[1.0, 0.0], [5.0, 0.0]]), 0, self.CFG)
+        diagonal = float(np.linalg.norm(scene.bounds[1] - scene.bounds[0]))
+        assert clearance.tolist() == [diagonal, diagonal]
+        assert inside.tolist() == [True, False] and clear.tolist() == [True, True]
 
 
 class TestValidateCandidates:
