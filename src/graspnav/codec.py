@@ -36,6 +36,9 @@ import numpy as np
 
 from .errors import ConfigError, FileFormatError
 
+# m; caps every length in a config, far above any room a mobile base plans in
+MAX_LENGTH = 100.0
+
 _EXPECTED = {float: "a finite number", int: "an integer", str: "a string",
              dict: "an object"}
 

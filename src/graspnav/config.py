@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import JsonCodec, bounded, read_json_object
+from .codec import MAX_LENGTH, JsonCodec, bounded, read_json_object
 from .drawer import DrawerConfig
 from .errors import ConfigError
 from .geometry import CameraIntrinsics
@@ -62,7 +62,7 @@ class SimConfig(JsonCodec):
     n_views: int = bounded(4, ge=1)
     view_candidates: int = bounded(12, ge=1, le=360)
     view_span_deg: float = bounded(120.0, gt=0, le=360)
-    view_radius: float = bounded(1.5, gt=0)
+    view_radius: float = bounded(1.5, gt=0, le=MAX_LENGTH)
     grasp_success_tol: float = bounded(0.02, gt=0)
     axis_tol_deg: float = bounded(5.0, gt=0)
     handle_tol: float = bounded(0.03, gt=0)

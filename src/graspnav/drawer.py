@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .codec import JsonCodec, bounded, decode_value, read_json_object, to_json
+from .codec import MAX_LENGTH, JsonCodec, bounded, decode_value, read_json_object, to_json
 from .errors import (ConfigError, DegenerateBBoxError, DegenerateInputError,
                      FileFormatError, GraspNavError, InvalidAxisError,
                      MissingDepthError, NoPlaneFoundError)
@@ -154,8 +154,8 @@ class DrawerConfig(JsonCodec):
     ioa_min: float = bounded(DEFAULT_IOA_MIN, ge=0, le=1)
     cluster_radius: float = bounded(DEFAULT_CLUSTER_RADIUS, gt=0)
     gate_radius: float = bounded(DEFAULT_GATE_RADIUS, gt=0)
-    standoff: float = bounded(DEFAULT_STANDOFF, gt=0)
-    pull_distance: float = bounded(DEFAULT_PULL_DISTANCE, gt=0)
+    standoff: float = bounded(DEFAULT_STANDOFF, gt=0, le=MAX_LENGTH)
+    pull_distance: float = bounded(DEFAULT_PULL_DISTANCE, gt=0, le=MAX_LENGTH)
     ransac: RansacParams = field(default_factory=RansacParams)
 
 

@@ -518,6 +518,12 @@ def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
     (and near-zero or very long ones) get `_segment_clear`, the exact
     point-to-segment test, so every flag equals the exact test's.
 
+    So a point farther than ``clearance + h/2 + margin`` from every
+    segment decides no flag. With every start within horizontal distance r
+    of `to_point`, so is every segment point, and `obstacles` may drop the
+    points farther than ``r + clearance + h/2 + margin`` from `to_point`
+    horizontally (as `validate_candidates` does) without changing a flag.
+
     Raises:
         DegenerateInputError: a segment's squared length is not finite.
     """

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import JsonCodec, bounded
+from .codec import MAX_LENGTH, JsonCodec, bounded
 from .errors import ConfigError, EmptySceneError
-from .geometry import line_of_sight
+from .geometry import _SIGHT_SPACING, line_of_sight
 from .scene import PointCloudScene
 
 REASON_OUT_OF_SCENE = "out-of-scene"
@@ -31,25 +31,26 @@ REASON_NO_LINE_OF_SIGHT = "no-line-of-sight"
 
 # Guard against float fuzz when the step divides the circle evenly.
 _RING_COUNT_EPS = 1e-9
-# m; caps every length, far above any room a mobile base plans in
-_MAX_LENGTH = 100.0
+# m; keeps the sight-index crop clear of the rounding of hypot
+_REACH_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
 class NavConfig(JsonCodec):
     """Sampling radii and validation thresholds; all serializable."""
 
-    radii: tuple[float, ...] = bounded((0.7, 0.9, 1.1), gt=0, le=_MAX_LENGTH)
+    radii: tuple[float, ...] = bounded((0.7, 0.9, 1.1), gt=0, le=MAX_LENGTH)
     # at most 1000 candidates per ring
     angular_step: float = bounded(2.0 * math.pi / 36.0, ge=2.0 * math.pi / 1000.0,
                                   le=math.pi)
-    footprint_radius: float = bounded(0.35, gt=0, le=_MAX_LENGTH)
-    camera_height: float = bounded(0.8, gt=0, le=_MAX_LENGTH)
-    standing_height: float = bounded(0.5, gt=0, le=_MAX_LENGTH)
+    footprint_radius: float = bounded(0.35, gt=0, le=MAX_LENGTH)
+    camera_height: float = bounded(0.8, gt=0, le=MAX_LENGTH)
+    standing_height: float = bounded(0.5, gt=0, le=MAX_LENGTH)
     lambda_item: float = bounded(0.5, gt=0)
-    los_clearance: float = bounded(0.10, gt=0, le=_MAX_LENGTH)
-    los_target_exclusion: float = bounded(0.25, ge=0, le=_MAX_LENGTH)
-    floor_slab: float = bounded(0.02, ge=0)
+    los_clearance: float = bounded(0.10, gt=0, le=MAX_LENGTH)
+    los_target_exclusion: float = bounded(0.25, ge=0, le=MAX_LENGTH)
+    # m; the floor layer clearance ignores; a thicker one hides real obstacles
+    floor_slab: float = bounded(0.02, ge=0, le=1.0)
 
     def __post_init__(self):
         super().__post_init__()
@@ -142,14 +143,19 @@ def validate_candidates(candidates: list[BodyCandidate], scene: PointCloudScene,
     In-scene check: `check_stance`, with the target excluded. Line-of-sight
     check: from the camera point to the target centroid, blocked by the
     points of `scene.obstacle_index` with `los_target_exclusion`, so the
-    support surface right under the object does not block. One clearance
-    query and one line-of-sight call serve all candidates.
+    support surface right under the object does not block; the index is
+    cropped, exactly, to the horizontal reach of the candidates' segments.
+    One clearance query and one line-of-sight call serve all candidates.
     """
     centroid = scene.centroid_of(target_instance)
-    los_index = scene.obstacle_index(exclude_instance=target_instance,
-                                     target_exclusion=config.los_target_exclusion)
     positions = np.array([cand.position for cand in candidates]).reshape(-1, 2)
     cameras = np.column_stack([positions, [c.camera_height for c in candidates]])
+    ground = np.hypot(positions[:, 0] - centroid[0], positions[:, 1] - centroid[1])
+    reach = (float(ground.max(initial=0.0)) + config.los_clearance
+             + 0.5 * _SIGHT_SPACING + _REACH_MARGIN)
+    los_index = scene.obstacle_index(exclude_instance=target_instance,
+                                     target_exclusion=config.los_target_exclusion,
+                                     reach=reach)
     inside, clear, d_obstacles = check_stance(scene, positions, target_instance, config)
     in_scene = inside & clear
     sight = np.zeros(len(candidates), dtype=bool)

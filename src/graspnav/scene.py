@@ -260,9 +260,12 @@ class PointCloudScene:
         self.embedding_dim = embedding_dim
         if len(self.points) == 0:
             raise FileFormatError("scene contains no points")
-        self.bounds = np.stack([self.points.min(axis=0), self.points.max(axis=0)])
+        # per column: a strided column reduces far faster than axis=0 of (n, 3)
+        self.bounds = np.array([[self.points[:, k].min() for k in range(3)],
+                                [self.points[:, k].max() for k in range(3)]])
         self._by_id = {inst.id: inst for inst in self.instances}
-        self._index_cache: dict[tuple[int | None, float | None, float], PointIndex] = {}
+        self._centroids: dict[int, np.ndarray] = {}
+        self._index_cache: dict[tuple, PointIndex] = {}
 
     # -- lookups ------------------------------------------------------------
 
@@ -276,24 +279,37 @@ class PointCloudScene:
         return self.points[self.instance(instance_id).point_indices]
 
     def centroid_of(self, instance_id: int) -> np.ndarray:
-        return self.instance_points(instance_id).mean(axis=0)
+        """Mean of the instance's points; one read-only array per instance."""
+        centroid = self._centroids.get(instance_id)
+        if centroid is None:
+            centroid = self.instance_points(instance_id).mean(axis=0)
+            centroid.setflags(write=False)
+            self._centroids[instance_id] = centroid
+        return centroid
 
     def obstacle_index(self, exclude_instance: int | None = None,
                        min_z: float | None = None,
-                       target_exclusion: float = 0.0) -> PointIndex:
+                       target_exclusion: float = 0.0,
+                       reach: float | None = None) -> PointIndex:
         """Index over scene points outside the excluded instance / floor slab.
 
         With `target_exclusion` > 0 it also drops the points within that
         distance of the excluded instance's centroid; this is the one rule
-        for which points block the line of sight of body placement. Built
-        lazily and cached per (exclude_instance, min_z, target_exclusion);
-        scenes are immutable so cached indexes stay valid.
+        for which points block the line of sight of body placement. With
+        `reach` it keeps only the points within that horizontal distance of
+        the centroid. For sight segments that end at the centroid and start
+        within r of it horizontally, a cropped point at ``reach >= r +
+        clearance + h/2`` plus a margin is outside every sample's bounded
+        query and farther than `clearance` from every segment, so it decides
+        no flag (see `line_of_sight`). No vertical crop: a low target keeps
+        the floor inside any band. Built lazily and cached per argument
+        tuple; scenes are immutable so cached indexes stay valid.
         """
         if exclude_instance is not None:
             self.instance(exclude_instance)  # raise before caching odd keys
-        elif target_exclusion > 0.0:
-            raise ValueError("target_exclusion needs an excluded instance")
-        key = (exclude_instance, min_z, target_exclusion)
+        elif target_exclusion > 0.0 or reach is not None:
+            raise ValueError("target_exclusion and reach need an excluded instance")
+        key = (exclude_instance, min_z, target_exclusion, reach)
         cached = self._index_cache.get(key)
         if cached is not None:
             return cached
@@ -302,10 +318,14 @@ class PointCloudScene:
             mask[self.instance(exclude_instance).point_indices] = False
         if min_z is not None:
             mask &= self.points[:, 2] >= min_z
+        if reach is not None:
+            cx, cy, _ = self.centroid_of(exclude_instance)
+            mask &= np.hypot(self.points[:, 0] - cx, self.points[:, 1] - cy) <= reach
+        points = self.points[mask]
         if target_exclusion > 0.0:
             centroid = self.centroid_of(exclude_instance)
-            mask &= np.linalg.norm(self.points - centroid, axis=1) > target_exclusion
-        index = PointIndex(self.points[mask])
+            points = points[np.linalg.norm(points - centroid, axis=1) > target_exclusion]
+        index = PointIndex(points)
         self._index_cache[key] = index
         return index
 

@@ -47,6 +47,10 @@ CAPS = [
      "radii"),
     ("config", {"nav": {"camera_height": 100.0}},
      {"nav": {"camera_height": math.nextafter(100.0, math.inf)}}, "camera_height"),
+    ("config", {"nav": {"floor_slab": 1.0}},
+     {"nav": {"floor_slab": math.nextafter(1.0, math.inf)}}, "floor_slab"),
+    ("config", {"sim": {"view_radius": 100.0}},
+     {"sim": {"view_radius": math.nextafter(100.0, math.inf)}}, "view_radius"),
     ("config", {"grasp": {"sweep_count": 64}}, {"grasp": {"sweep_count": 65}},
      "sweep_count"),
     ("config", {"grasp": {"top_k": 1000}}, {"grasp": {"top_k": 1001}}, "top_k"),
@@ -144,13 +148,13 @@ _UNBOUNDED = {(CabinetSpec, "center")}
 # every key with a work cap or a natural upper limit
 _CAPPED = {
     SimConfig: {"image_width", "image_height", "view_candidates", "close_looks",
-                "view_span_deg"},
+                "view_span_deg", "view_radius"},
     NavConfig: {"angular_step", "radii", "footprint_radius", "camera_height",
-                "standing_height", "los_clearance", "los_target_exclusion"},
+                "standing_height", "los_clearance", "los_target_exclusion", "floor_slab"},
     GraspConfig: {"sweep_count", "top_k", "min_similarity"},
     RansacParams: {"iterations", "min_inlier_fraction"},
     NoiseModel: {"depth_dropout", "detection_dropout", "confidence_range"},
-    DrawerConfig: {"ioa_min"},
+    DrawerConfig: {"ioa_min", "standoff", "pull_distance"},
     CabinetSpec: {"width", "height", "depth", "n_drawers", "handle_width",
                   "handle_height", "front_proud", "handle_proud"},
     ObjectSpec: {"size"},

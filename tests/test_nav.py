@@ -311,3 +311,76 @@ class TestValidateCandidates:
         s = d_obs - cfg.lambda_item * d_item
         assert d_obs - cfg.lambda_item * (d_item + 0.1) < s
         assert (d_obs + 0.1) - cfg.lambda_item * d_item > s
+
+
+def edge_scene(seed):
+    """Floor, a target within one footprint of the floor's +x edge, and
+    random posts around the target."""
+    rng = np.random.default_rng(seed)
+    floor = floor_grid()
+    tx, ty = 2.0 - rng.uniform(0.0, 0.35), rng.uniform(-1.5, 1.5)
+    target = object_cluster([tx, ty, 0.05], seed=seed)
+    groups = [floor, target]
+    for i in range(int(rng.integers(1, 6))):
+        angle, radius = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.3, 1.2)
+        groups.append(object_cluster([tx + radius * math.cos(angle),
+                                      ty + radius * math.sin(angle), rng.uniform(0.1, 0.6)],
+                                     n=60, scale=0.1, seed=seed * 10 + i))
+    return build_scene(*groups, instances=[(0, "target", range(len(floor),
+                                                               len(floor) + len(target)))])
+
+
+def canopy_scene(seed):
+    """Floor, target at the origin, and sparse points near camera height,
+    which block a camera point they pass within clearance of."""
+    rng = np.random.default_rng(seed)
+    angle, radius = rng.uniform(0.0, 2.0 * math.pi, 150), rng.uniform(0.3, 1.9, 150)
+    canopy = np.column_stack([radius * np.cos(angle), radius * np.sin(angle),
+                              rng.uniform(0.75, 1.0, 150)])
+    return simple_target_scene(extra_groups=(canopy,))
+
+
+class TestSightIndexCrop:
+    """validate_candidates crops its sight index to the horizontal reach of
+    the checked segments; every result equals the full index's."""
+
+    CONFIGS = [NavConfig(),
+               NavConfig(los_target_exclusion=0.0, footprint_radius=0.2, los_clearance=0.03),
+               NavConfig(radii=tuple(0.3 + 0.1 * i for i in range(16)), los_clearance=0.2)]
+
+    def test_cropped_and_uncropped_indexes_agree(self, monkeypatch):
+        full_index = PointCloudScene.obstacle_index
+
+        def uncropped(scene, exclude_instance=None, min_z=None, target_exclusion=0.0,
+                      reach=None):
+            return full_index(scene, exclude_instance, min_z, target_exclusion)
+        builds = []
+        init = PointIndex.__init__
+
+        def counted(index, points):
+            builds.append(len(points))
+            init(index, points)
+        monkeypatch.setattr(PointIndex, "__init__", counted)
+        reasons = {i: set() for i in range(len(self.CONFIGS))}
+        cropped_sizes, full_sizes = [], []  # points indexed per validation
+        for seed in range(27):
+            cfg = self.CONFIGS[seed % 3]
+            make = (post_scene, edge_scene, canopy_scene)[seed // 3 % 3]
+            cands = sample_positions(make(seed).centroid_of(0), cfg)
+            cropped = validate_candidates(cands, make(seed), 0, cfg)
+            assert len(builds) == 2, "one clearance and one line-of-sight kd-tree"
+            cropped_sizes.append(sum(builds))
+            builds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(PointCloudScene, "obstacle_index", uncropped)
+                full = validate_candidates(cands, make(seed), 0, cfg)
+            full_sizes.append(sum(builds))
+            builds.clear()
+            for a, b in zip(cropped, full, strict=True):
+                assert (a.valid, a.reason, a.d_obstacles, a.d_item, a.s_body) == \
+                    (b.valid, b.reason, b.d_obstacles, b.d_item, b.s_body)
+            reasons[seed % 3].update(c.reason for c in full)
+        for seen in reasons.values():
+            assert seen == {None, REASON_OUT_OF_SCENE, REASON_NO_LINE_OF_SIGHT}
+        assert all(c <= f for c, f in zip(cropped_sizes, full_sizes))
+        assert sum(cropped_sizes) < 0.9 * sum(full_sizes)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from graspnav.errors import (
     EmptySceneError,
     FileFormatError,
+    InstanceNotFoundError,
     UnsupportedQueryError,
 )
 from graspnav.scene import (
@@ -604,3 +605,53 @@ class TestObstacleIndex:
         scene = make_scene(np.zeros((3, 3)), [])
         with pytest.raises(ValueError):
             scene.obstacle_index(target_exclusion=0.1)
+
+
+class TestSightCropAndCaches:
+    def test_reach_keeps_points_within_the_horizontal_distance(self):
+        rng = np.random.default_rng(24)
+        pts = rng.uniform(-2.0, 2.0, size=(3000, 3))
+        scene = make_scene(pts, [(0, "a", list(range(100)), None)])
+        centroid = pts[:100].mean(axis=0)
+        for exclusion in (0.0, 0.4):
+            keep = np.hypot(pts[:, 0] - centroid[0], pts[:, 1] - centroid[1]) <= 1.2
+            keep &= np.linalg.norm(pts - centroid, axis=1) > exclusion
+            keep[:100] = False
+            index = scene.obstacle_index(exclude_instance=0, target_exclusion=exclusion,
+                                         reach=1.2)
+            np.testing.assert_array_equal(index.points, pts[keep])
+            assert 0 < len(index) < len(scene.obstacle_index(
+                exclude_instance=0, target_exclusion=exclusion))
+            assert scene.obstacle_index(exclude_instance=0, target_exclusion=exclusion,
+                                        reach=1.2) is index
+
+    def test_reach_needs_an_instance(self):
+        scene = make_scene(np.zeros((3, 3)), [])
+        with pytest.raises(ValueError):
+            scene.obstacle_index(reach=1.0)
+
+    def test_centroid_is_one_read_only_mean_per_instance(self):
+        rng = np.random.default_rng(25)
+        pts = rng.normal(size=(500, 3))
+        scene = make_scene(pts, [(0, "a", list(range(40)), None),
+                                 (1, "b", list(range(40, 90)), None)])
+        for inst, idx in ((0, slice(0, 40)), (1, slice(40, 90))):
+            centroid = scene.centroid_of(inst)
+            assert centroid.tobytes() == pts[idx].mean(axis=0).tobytes()
+            assert scene.centroid_of(inst) is centroid
+            with pytest.raises(ValueError):
+                centroid[0] = 0.0
+        with pytest.raises(InstanceNotFoundError):
+            scene.centroid_of(7)
+
+    def test_bounds_equal_the_axis_reductions_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        wide = rng.normal(size=(4001, 6))
+        zeros = rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), size=(257, 3))
+        clouds = [rng.normal(size=(41_000, 3)), wide[:, ::2], wide[::3, 1:4],
+                  np.asfortranarray(wide[:, :3]), zeros, zeros[:1]]
+        for pts in clouds:
+            scene = PointCloudScene(points=pts, colors=None, instances=[], embedding_dim=4)
+            want = np.stack([pts.min(axis=0), pts.max(axis=0)])
+            assert scene.bounds.dtype == want.dtype and scene.bounds.shape == (2, 3)
+            assert scene.bounds.tobytes() == want.tobytes()
