@@ -22,6 +22,9 @@ from .grasp import GraspConfig
 from .nav import NavConfig
 from .optimizer import OptimizerWeights
 
+# px; the image side cap, and box jitter past it moves boxes off any image
+_MAX_PIXELS = 2048
+
 
 @dataclass(frozen=True)
 class NoiseModel(JsonCodec):
@@ -32,10 +35,10 @@ class NoiseModel(JsonCodec):
     confidences drawn uniformly from [0.6, 1.0].
     """
 
-    depth_sigma: float = bounded(0.005, ge=0)
+    depth_sigma: float = bounded(0.005, ge=0, le=1.0)
     depth_dropout: float = bounded(0.1, ge=0, le=1)
     detection_dropout: float = bounded(0.05, ge=0, le=1)
-    bbox_jitter_sigma: float = bounded(2.0, ge=0)
+    bbox_jitter_sigma: float = bounded(2.0, ge=0, le=_MAX_PIXELS)
     confidence_range: tuple[float, float] = bounded((0.6, 1.0), ge=0, le=1)
 
     def __post_init__(self):
@@ -56,8 +59,8 @@ class NoiseModel(JsonCodec):
 class SimConfig(JsonCodec):
     """Camera, viewpoint, tolerance, and difficulty settings."""
 
-    image_width: int = bounded(160, ge=8, le=2048)
-    image_height: int = bounded(120, ge=8, le=2048)
+    image_width: int = bounded(160, ge=8, le=_MAX_PIXELS)
+    image_height: int = bounded(120, ge=8, le=_MAX_PIXELS)
     focal: float = bounded(130.0, gt=0)
     n_views: int = bounded(4, ge=1)
     view_candidates: int = bounded(12, ge=1, le=360)
@@ -67,9 +70,9 @@ class SimConfig(JsonCodec):
     axis_tol_deg: float = bounded(5.0, gt=0)
     handle_tol: float = bounded(0.03, gt=0)
     close_looks: int = bounded(3, ge=1, le=32)
-    tier_noise_easy: float = bounded(1.0, gt=0)
-    tier_noise_medium: float = bounded(2.0, gt=0)
-    tier_noise_hard: float = bounded(4.0, gt=0)
+    tier_noise_easy: float = bounded(1.0, gt=0, le=100.0)
+    tier_noise_medium: float = bounded(2.0, gt=0, le=100.0)
+    tier_noise_hard: float = bounded(4.0, gt=0, le=100.0)
 
     def __post_init__(self):
         super().__post_init__()

@@ -31,9 +31,8 @@ from .codec import MAX_LENGTH, JsonCodec, bounded, decode_value, read_json_objec
 from .errors import (ConfigError, DegenerateBBoxError, DegenerateInputError,
                      FileFormatError, GraspNavError, InvalidAxisError,
                      MissingDepthError, NoPlaneFoundError)
-from .geometry import (BBox2D, CameraIntrinsics, Plane, Pose, RansacParams,
-                       backproject, backproject_many, ransac_plane,
-                       rotation_about_z)
+from .geometry import (BBox2D, CameraIntrinsics, Pose, RansacParams, backproject,
+                       backproject_many, ransac_plane, rotation_about_z)
 
 DEFAULT_KAPPA = 10.0
 DEFAULT_IOA_MIN = 0.5

@@ -496,6 +496,16 @@ def _segment_clear(a: np.ndarray, b: np.ndarray, obstacles: PointIndex,
     return bool(np.min(dist_sq) > clearance * clearance)
 
 
+def sight_reach(radius: float, clearance: float) -> float:
+    """Horizontal crop reach around `to_point` for `line_of_sight` starts
+    within `radius` of it: every segment point is within `radius` too, so a
+    point beyond the reach is farther than ``clearance + h/2`` plus a margin
+    (h = `_SIGHT_SPACING`) from all of them; no sample's bounded query finds
+    it, the exact test never sees it block, and dropping it changes no flag.
+    The 1e-6 m term absorbs the rounding of `hypot`."""
+    return radius + clearance + 0.5 * _SIGHT_SPACING + 1e-6
+
+
 def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
                   obstacles: PointIndex, clearance: float) -> "bool | np.ndarray":
     """Whether the segment from each start to `to_point` keeps `clearance`
@@ -518,11 +528,7 @@ def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
     (and near-zero or very long ones) get `_segment_clear`, the exact
     point-to-segment test, so every flag equals the exact test's.
 
-    So a point farther than ``clearance + h/2 + margin`` from every
-    segment decides no flag. With every start within horizontal distance r
-    of `to_point`, so is every segment point, and `obstacles` may drop the
-    points farther than ``r + clearance + h/2 + margin`` from `to_point`
-    horizontally (as `validate_candidates` does) without changing a flag.
+    `sight_reach` gives how far from `to_point` an obstacle can decide a flag.
 
     Raises:
         DegenerateInputError: a segment's squared length is not finite.

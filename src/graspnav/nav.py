@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import MAX_LENGTH, JsonCodec, bounded
-from .errors import ConfigError, EmptySceneError
-from .geometry import _SIGHT_SPACING, line_of_sight
+from .errors import ConfigError, DegenerateInputError, EmptySceneError
+from .geometry import line_of_sight, sight_reach
 from .scene import PointCloudScene
 
 REASON_OUT_OF_SCENE = "out-of-scene"
@@ -31,8 +31,6 @@ REASON_NO_LINE_OF_SIGHT = "no-line-of-sight"
 
 # Guard against float fuzz when the step divides the circle evenly.
 _RING_COUNT_EPS = 1e-9
-# m; keeps the sight-index crop clear of the rounding of hypot
-_REACH_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,6 @@ class BodyCandidate:
     position: np.ndarray               # (2,) ground-plane x, y
     yaw: float                         # facing direction, radians
     camera_height: float
-    standing_height: float
     valid: bool = False
     reason: str | None = None
     s_body: float | None = None
@@ -76,10 +73,6 @@ class BodyCandidate:
     @property
     def camera_point(self) -> np.ndarray:
         return np.array([self.position[0], self.position[1], self.camera_height])
-
-    @property
-    def standing_point(self) -> np.ndarray:
-        return np.array([self.position[0], self.position[1], self.standing_height])
 
 
 def ring_count(angular_step: float) -> int:
@@ -105,7 +98,6 @@ def sample_positions(target: np.ndarray, config: NavConfig) -> list[BodyCandidat
                 position=np.array([px, py]),
                 yaw=math.atan2(ty - py, tx - px),
                 camera_height=config.camera_height,
-                standing_height=config.standing_height,
             ))
     return out
 
@@ -120,8 +112,15 @@ def check_stance(scene: PointCloudScene, positions: np.ndarray,
     and `clearance`: the distance at standing height to the nearest point
     outside `exclude_instance` and above the floor slab, which the robot
     stands on. All positions share one kd-tree query.
+
+    Raises:
+        DegenerateInputError: a position is not finite.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+    if len(bad):
+        raise DegenerateInputError(
+            f"stance position {bad[0]} is not finite: {positions[bad[0]].tolist()}")
     lo, hi = scene.bounds
     inside = (np.all(positions >= lo[:2] + config.footprint_radius, axis=1)
               & np.all(positions <= hi[:2] - config.footprint_radius, axis=1))
@@ -151,8 +150,7 @@ def validate_candidates(candidates: list[BodyCandidate], scene: PointCloudScene,
     positions = np.array([cand.position for cand in candidates]).reshape(-1, 2)
     cameras = np.column_stack([positions, [c.camera_height for c in candidates]])
     ground = np.hypot(positions[:, 0] - centroid[0], positions[:, 1] - centroid[1])
-    reach = (float(ground.max(initial=0.0)) + config.los_clearance
-             + 0.5 * _SIGHT_SPACING + _REACH_MARGIN)
+    reach = sight_reach(float(ground.max(initial=0.0)), config.los_clearance)
     los_index = scene.obstacle_index(exclude_instance=target_instance,
                                      target_exclusion=config.los_target_exclusion,
                                      reach=reach)
@@ -165,8 +163,7 @@ def validate_candidates(candidates: list[BodyCandidate], scene: PointCloudScene,
     out = []
     for i, cand in enumerate(candidates):
         checked = BodyCandidate(position=cand.position.copy(), yaw=cand.yaw,
-                                camera_height=cand.camera_height,
-                                standing_height=cand.standing_height)
+                                camera_height=cand.camera_height)
         out.append(checked)
         if not in_scene[i]:
             checked.reason = REASON_OUT_OF_SCENE

@@ -265,7 +265,6 @@ class PointCloudScene:
                                 [self.points[:, k].max() for k in range(3)]])
         self._by_id = {inst.id: inst for inst in self.instances}
         self._centroids: dict[int, np.ndarray] = {}
-        self._index_cache: dict[tuple, PointIndex] = {}
 
     # -- lookups ------------------------------------------------------------
 
@@ -297,22 +296,11 @@ class PointCloudScene:
         distance of the excluded instance's centroid; this is the one rule
         for which points block the line of sight of body placement. With
         `reach` it keeps only the points within that horizontal distance of
-        the centroid. For sight segments that end at the centroid and start
-        within r of it horizontally, a cropped point at ``reach >= r +
-        clearance + h/2`` plus a margin is outside every sample's bounded
-        query and farther than `clearance` from every segment, so it decides
-        no flag (see `line_of_sight`). No vertical crop: a low target keeps
-        the floor inside any band. Built lazily and cached per argument
-        tuple; scenes are immutable so cached indexes stay valid.
+        the centroid (`geometry.sight_reach` gives one that decides no sight
+        flag); no vertical crop, as a low target keeps the floor in any band.
         """
-        if exclude_instance is not None:
-            self.instance(exclude_instance)  # raise before caching odd keys
-        elif target_exclusion > 0.0 or reach is not None:
+        if exclude_instance is None and (target_exclusion > 0.0 or reach is not None):
             raise ValueError("target_exclusion and reach need an excluded instance")
-        key = (exclude_instance, min_z, target_exclusion, reach)
-        cached = self._index_cache.get(key)
-        if cached is not None:
-            return cached
         mask = np.ones(len(self.points), dtype=bool)
         if exclude_instance is not None:
             mask[self.instance(exclude_instance).point_indices] = False
@@ -325,9 +313,7 @@ class PointCloudScene:
         if target_exclusion > 0.0:
             centroid = self.centroid_of(exclude_instance)
             points = points[np.linalg.norm(points - centroid, axis=1) > target_exclusion]
-        index = PointIndex(points)
-        self._index_cache[key] = index
-        return index
+        return PointIndex(points)
 
     # -- queries ------------------------------------------------------------
 

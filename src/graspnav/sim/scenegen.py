@@ -157,7 +157,6 @@ class PlacedObject:
     spec: ObjectSpec
     instance_id: int
     primitive: Box | Cylinder
-    position: np.ndarray               # (2,) ground placement
     truth_grasps: list[GroundTruthGrasp]
 
     @property
@@ -171,7 +170,6 @@ class PlacedObject:
 
 @dataclass
 class PlacedCabinet:
-    spec: CabinetSpec
     instance_id: int
     body: Box
     fronts: list[Box]
@@ -183,8 +181,6 @@ class PlacedCabinet:
 
 @dataclass
 class SyntheticScene:
-    spec: SceneSpec
-    seed: int
     scene: PointCloudScene
     label_codes: dict[str, np.ndarray]
     objects: list[PlacedObject]
@@ -320,14 +316,14 @@ def generate_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
             span = np.array([cab.center[0], cab.center[1], 0.0])
             near = span + facing * (cab.depth / 2.0)
             far = span + facing * reach
-            lo = np.minimum(near, far) - np.array([0, 0, 0])
+            lo = np.minimum(near, far)
             hi = np.maximum(near, far) + np.array([0, 0, cab.height])
             cross = np.abs(np.array([facing[1], facing[0], 0.0]))
             lo = lo - cross * (cab.width / 2.0)
             hi = hi + cross * (cab.width / 2.0)
             occupied.append((lo, hi))
 
-    placed: list[tuple[ObjectSpec, Box | Cylinder, np.ndarray]] = []
+    placed: list[tuple[ObjectSpec, Box | Cylinder]] = []
     for obj_spec in spec.objects:
         prim = None
         for _ in range(_PLACE_ATTEMPTS):
@@ -343,7 +339,7 @@ def generate_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
                 f"could not place object {obj_spec.label!r} after "
                 f"{_PLACE_ATTEMPTS} attempts")
         occupied.append(prim.aabb())
-        placed.append((obj_spec, prim, np.array(prim.center[:2])))
+        placed.append((obj_spec, prim))
 
     # one-hot embeddings per distinct label, stable order
     labels = sorted({o.label for o in spec.objects}
@@ -365,7 +361,7 @@ def generate_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
     objects: list[PlacedObject] = []
     offset = len(clouds[0])
     next_id = 0
-    for obj_spec, prim, pos in placed:
+    for obj_spec, prim in placed:
         pts = prim.sample_surface(spec.density, rng)
         indices = np.arange(offset, offset + len(pts))
         offset += len(pts)
@@ -377,8 +373,7 @@ def generate_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
         truth = (_box_truth_grasps(prim, count) if isinstance(prim, Box)
                  else _cylinder_truth_grasps(prim, count))
         objects.append(PlacedObject(spec=obj_spec, instance_id=next_id,
-                                    primitive=prim, position=pos,
-                                    truth_grasps=truth))
+                                    primitive=prim, truth_grasps=truth))
         next_id += 1
 
     cabinet = None
@@ -394,10 +389,9 @@ def generate_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
             id=next_id, label=CABINET_LABEL, point_indices=indices,
             embedding=label_codes[CABINET_LABEL].copy(), confidence=1.0))
         item_drawer = int(rng.integers(spec.cabinet.n_drawers))
-        cabinet = PlacedCabinet(spec=spec.cabinet, instance_id=next_id,
-                                body=body, fronts=fronts, handles=handles,
-                                handle_centers=handle_centers, axis=facing,
-                                item_drawer_index=item_drawer)
+        cabinet = PlacedCabinet(instance_id=next_id, body=body, fronts=fronts,
+                                handles=handles, handle_centers=handle_centers,
+                                axis=facing, item_drawer_index=item_drawer)
         next_id += 1
 
     points = np.concatenate(clouds, axis=0)
@@ -405,8 +399,7 @@ def generate_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
                             embedding_dim=dim)
     floor = Box(center=(0.0, 0.0, -0.005),
                 size=(spec.floor_extent, spec.floor_extent, 0.01))
-    return SyntheticScene(spec=spec, seed=seed, scene=scene,
-                          label_codes=label_codes, objects=objects,
+    return SyntheticScene(scene=scene, label_codes=label_codes, objects=objects,
                           cabinet=cabinet, floor=floor)
 
 

@@ -44,8 +44,7 @@ def _random_selection_instance(rng, n_grasps, n_bodies):
     for _ in range(n_bodies):
         bodies.append(BodyCandidate(
             position=rng.uniform(-3, 3, size=2), yaw=float(rng.uniform(0, 6.28)),
-            camera_height=float(rng.uniform(0.5, 1.2)),
-            standing_height=0.5, valid=True,
+            camera_height=float(rng.uniform(0.5, 1.2)), valid=True,
             s_body=float(rng.uniform(-1, 3))))
     target = rng.uniform(-1, 1, size=3) + np.array([0.0, 0.0, 5.0])
     return grasps, bodies, target

@@ -51,6 +51,18 @@ CAPS = [
      {"nav": {"floor_slab": math.nextafter(1.0, math.inf)}}, "floor_slab"),
     ("config", {"sim": {"view_radius": 100.0}},
      {"sim": {"view_radius": math.nextafter(100.0, math.inf)}}, "view_radius"),
+    ("config", {"noise": {"depth_sigma": 1.0}},
+     {"noise": {"depth_sigma": math.nextafter(1.0, math.inf)}}, "depth_sigma"),
+    ("config", {"noise": {"bbox_jitter_sigma": 2048.0}},
+     {"noise": {"bbox_jitter_sigma": math.nextafter(2048.0, math.inf)}},
+     "bbox_jitter_sigma"),
+    ("config", {"sim": {"tier_noise_easy": 100.0}},
+     {"sim": {"tier_noise_easy": math.nextafter(100.0, math.inf)}}, "tier_noise_easy"),
+    ("config", {"sim": {"tier_noise_medium": 100.0}},
+     {"sim": {"tier_noise_medium": math.nextafter(100.0, math.inf)}},
+     "tier_noise_medium"),
+    ("config", {"sim": {"tier_noise_hard": 100.0}},
+     {"sim": {"tier_noise_hard": math.nextafter(100.0, math.inf)}}, "tier_noise_hard"),
     ("config", {"grasp": {"sweep_count": 64}}, {"grasp": {"sweep_count": 65}},
      "sweep_count"),
     ("config", {"grasp": {"top_k": 1000}}, {"grasp": {"top_k": 1001}}, "top_k"),
@@ -148,12 +160,14 @@ _UNBOUNDED = {(CabinetSpec, "center")}
 # every key with a work cap or a natural upper limit
 _CAPPED = {
     SimConfig: {"image_width", "image_height", "view_candidates", "close_looks",
-                "view_span_deg", "view_radius"},
+                "view_span_deg", "view_radius", "tier_noise_easy", "tier_noise_medium",
+                "tier_noise_hard"},
     NavConfig: {"angular_step", "radii", "footprint_radius", "camera_height",
                 "standing_height", "los_clearance", "los_target_exclusion", "floor_slab"},
     GraspConfig: {"sweep_count", "top_k", "min_similarity"},
     RansacParams: {"iterations", "min_inlier_fraction"},
-    NoiseModel: {"depth_dropout", "detection_dropout", "confidence_range"},
+    NoiseModel: {"depth_sigma", "depth_dropout", "detection_dropout", "bbox_jitter_sigma",
+                 "confidence_range"},
     DrawerConfig: {"ioa_min", "standoff", "pull_distance"},
     CabinetSpec: {"width", "height", "depth", "n_drawers", "handle_width",
                   "handle_height", "front_proud", "handle_proud"},

@@ -42,6 +42,7 @@ from graspnav.geometry import (
     project,
     ransac_plane,
     rotation_about_z,
+    sight_reach,
     _segment_clear,
 )
 from graspnav.scene import InstanceMask, PointCloudScene
@@ -867,6 +868,52 @@ class TestBatchedLineOfSight:
         assert line_of_sight(a, np.array([1.0, 0.0, 0.0]),
                              PointIndex(np.array([[0.5, 1.0, 0.0]])), 0.1)
         assert len(calls) == 2
+
+
+class TestSightReach:
+    """Obstacle points past `sight_reach` of `to_point`, horizontally, leave
+    every flag as it was and send no segment to the exact test."""
+
+    def test_points_past_the_reach_change_nothing(self, monkeypatch):
+        exact = []
+
+        def counted(a, b, obstacles, clearance):
+            exact.append(tuple(a))
+            return _segment_clear(a, b, obstacles, clearance)
+        monkeypatch.setattr(geometry, "_segment_clear", counted)
+        rng = np.random.default_rng(931)
+        outcomes = set()
+        for _ in range(40):
+            radius, clearance = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.03, 0.2))
+            b = rng.uniform(-1.0, 1.0, size=3)
+            # starts anywhere within the radius, the first 8 on its rim
+            angle = rng.uniform(0.0, 2.0 * math.pi, 32)
+            rho = radius * np.sqrt(rng.uniform(0.0, 1.0, 32))
+            rho[:8] = radius
+            starts = np.column_stack([b[0] + rho * np.cos(angle), b[1] + rho * np.sin(angle),
+                                      rng.uniform(-1.0, 2.0, 32)])
+            inner_angle = rng.uniform(0.0, 2.0 * math.pi, 20)
+            inner_rho = radius * np.sqrt(rng.uniform(0.0, 1.0, 20))
+            inner = np.column_stack([b[0] + inner_rho * np.cos(inner_angle),
+                                     b[1] + inner_rho * np.sin(inner_angle),
+                                     rng.uniform(-1.0, 2.0, 20)])
+            # past the reach: behind each rim start at its height, and anywhere
+            reach = np.nextafter(sight_reach(radius, clearance), math.inf)
+            far_angle = np.concatenate([angle[:8], rng.uniform(0.0, 2.0 * math.pi, 40)])
+            far_rho = reach + np.where(rng.uniform(size=48) < 0.5, 0.0,
+                                       rng.uniform(0.0, 0.05, 48))
+            far = np.column_stack([b[0] + far_rho * np.cos(far_angle),
+                                   b[1] + far_rho * np.sin(far_angle),
+                                   np.concatenate([starts[:8, 2],
+                                                   rng.uniform(-1.0, 2.0, 40)])])
+            want = line_of_sight(starts, b, PointIndex(inner), clearance)
+            want_exact, exact[:] = list(exact), []
+            got = line_of_sight(starts, b, PointIndex(np.vstack([inner, far])), clearance)
+            np.testing.assert_array_equal(got, want)
+            assert exact == want_exact
+            exact.clear()
+            outcomes.update(want.tolist())
+        assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from graspnav import geometry
-from graspnav.errors import ConfigError, InstanceNotFoundError
+from graspnav.errors import ConfigError, DegenerateInputError, InstanceNotFoundError
 from graspnav.geometry import PointIndex, _segment_clear
 from graspnav.nav import (
     REASON_NO_LINE_OF_SIGHT,
@@ -57,7 +57,8 @@ def reference_validation(cands, scene, target, cfg):
     hi = scene.bounds[1][:2] - cfg.footprint_radius
     out = []
     for cand in cands:
-        d_obs = (above_slab.nearest(cand.standing_point)[0] if len(above_slab)
+        standing = [*cand.position, cfg.standing_height]
+        d_obs = (above_slab.nearest(standing)[0] if len(above_slab)
                  else float(np.linalg.norm(scene.bounds[1] - scene.bounds[0])))
         if (not (np.all(cand.position >= lo) and np.all(cand.position <= hi))
                 or d_obs < cfg.footprint_radius):
@@ -178,6 +179,17 @@ class TestCheckStance:
         assert clearance.tolist() == [diagonal, diagonal]
         assert inside.tolist() == [True, False] and clear.tolist() == [True, True]
 
+    def test_non_finite_position_is_degenerate(self):
+        scene = simple_target_scene()
+        for bad in ([math.nan, 0.0], [0.0, math.inf], [-math.inf, math.nan]):
+            positions = np.array([[1.0, 0.0], bad, [bad[1], bad[0]]])
+            with pytest.raises(DegenerateInputError, match="stance position 1 "):
+                check_stance(scene, positions, 0, self.CFG)
+            cands = [BodyCandidate(position=p, yaw=0.0, camera_height=0.8)
+                     for p in positions]
+            with pytest.raises(DegenerateInputError, match="stance position 1 "):
+                validate_candidates(cands, scene, 0, self.CFG)
+
 
 class TestValidateCandidates:
     CFG = NavConfig()
@@ -185,8 +197,7 @@ class TestValidateCandidates:
     def test_open_floor_candidate_valid(self):
         scene = simple_target_scene()
         cand = BodyCandidate(position=np.array([1.0, 0.0]), yaw=math.pi,
-                             camera_height=self.CFG.camera_height,
-                             standing_height=self.CFG.standing_height)
+                             camera_height=self.CFG.camera_height)
         out = validate_candidates([cand], scene, 0, self.CFG)
         assert out[0].valid
         assert out[0].reason is None
@@ -196,7 +207,7 @@ class TestValidateCandidates:
     def test_outside_bounds_is_out_of_scene(self):
         scene = simple_target_scene()
         cand = BodyCandidate(position=np.array([1.9, 0.0]), yaw=math.pi,
-                             camera_height=0.8, standing_height=0.5)
+                             camera_height=0.8)
         out = validate_candidates([cand], scene, 0, self.CFG)
         assert not out[0].valid
         assert out[0].reason == REASON_OUT_OF_SCENE
@@ -206,7 +217,7 @@ class TestValidateCandidates:
         post = object_cluster([1.0, 0.2, 0.5], n=30, scale=0.02, seed=3)
         scene = simple_target_scene(extra_groups=(post,))
         cand = BodyCandidate(position=np.array([1.0, 0.0]), yaw=math.pi,
-                             camera_height=0.8, standing_height=0.5)
+                             camera_height=0.8)
         out = validate_candidates([cand], scene, 0, self.CFG)
         assert not out[0].valid
         assert out[0].reason == REASON_OUT_OF_SCENE
@@ -218,7 +229,7 @@ class TestValidateCandidates:
         wall = np.stack([np.full(gy.size, 0.5), gy.ravel(), gz.ravel()], axis=1)
         scene = simple_target_scene(extra_groups=(wall,))
         cand = BodyCandidate(position=np.array([1.0, 0.0]), yaw=math.pi,
-                             camera_height=0.8, standing_height=0.5)
+                             camera_height=0.8)
         out = validate_candidates([cand], scene, 0, self.CFG)
         assert not out[0].valid
         assert out[0].reason == REASON_NO_LINE_OF_SIGHT
@@ -243,7 +254,8 @@ class TestValidateCandidates:
         for cand in out:
             if not cand.valid:
                 continue
-            d_obs = float(np.min(np.linalg.norm(above_slab - cand.standing_point, axis=1)))
+            standing = [*cand.position, cfg.standing_height]
+            d_obs = float(np.min(np.linalg.norm(above_slab - standing, axis=1)))
             d_item = float(np.hypot(cand.position[0] - centroid[0],
                                     cand.position[1] - centroid[1]))
             assert cand.d_obstacles == pytest.approx(d_obs, abs=1e-9)

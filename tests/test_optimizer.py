@@ -45,7 +45,7 @@ def make_grasp(approach, score, center=(0.0, 0.0, 0.0), width=0.08):
 
 def make_body(x, y, s_body, camera_height=0.8):
     return BodyCandidate(position=np.array([x, y]), yaw=0.0,
-                         camera_height=camera_height, standing_height=0.5,
+                         camera_height=camera_height,
                          valid=True, s_body=s_body)
 
 
@@ -177,8 +177,7 @@ class TestSelectBest:
     def test_unvalidated_body_rejected(self):
         w = OptimizerWeights()
         grasp = make_grasp(approach=(1.0, 0.0, 0.0), score=0.5)
-        raw = BodyCandidate(position=np.zeros(2), yaw=0.0, camera_height=0.8,
-                            standing_height=0.5)
+        raw = BodyCandidate(position=np.zeros(2), yaw=0.0, camera_height=0.8)
         with pytest.raises(ValueError, match="s_body"):
             select_best([grasp], [raw], np.array([1.0, 0.0, 0.0]), w)
 

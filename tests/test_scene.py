@@ -599,7 +599,6 @@ class TestObstacleIndex:
         index = scene.obstacle_index(exclude_instance=0, target_exclusion=0.4)
         np.testing.assert_array_equal(index.points, pts[keep])
         assert len(scene.obstacle_index(exclude_instance=0)) == 1400
-        assert scene.obstacle_index(exclude_instance=0, target_exclusion=0.4) is index
 
     def test_target_exclusion_needs_an_instance(self):
         scene = make_scene(np.zeros((3, 3)), [])
@@ -622,8 +621,6 @@ class TestSightCropAndCaches:
             np.testing.assert_array_equal(index.points, pts[keep])
             assert 0 < len(index) < len(scene.obstacle_index(
                 exclude_instance=0, target_exclusion=exclusion))
-            assert scene.obstacle_index(exclude_instance=0, target_exclusion=exclusion,
-                                        reach=1.2) is index
 
     def test_reach_needs_an_instance(self):
         scene = make_scene(np.zeros((3, 3)), [])
