@@ -40,6 +40,8 @@ _SIGHT_SPACING = 0.05  # m; line-of-sight samples lie at most this far apart
 _SIGHT_MARGIN = 1e-9  # m; keeps the sampled sight decisions clear of rounding
 _SIGHT_MAX_SAMPLES = 10_000  # longer segments skip sampling for the exact test
 
+_TREE_LEAF_SIZE = 32  # kd-tree leaf size; see PointIndex
+
 
 def _as_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
@@ -65,8 +67,10 @@ class Pose:
             raise ValueError(f"translation must have 3 components, got {tra.shape}")
         if not np.isfinite(tra).all():
             raise ValueError(f"translation must be finite, got {tra}")
-        # written as `not <=` so that a NaN entry fails the check
-        err = np.max(np.abs(rot @ rot.T - np.eye(3)))
+        # written as `not <=` so that a NaN entry fails the check; a huge
+        # entry overflows the product to inf or NaN, which fails it too
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.max(np.abs(rot @ rot.T - np.eye(3)))
         if not err <= ROTATION_TOL:
             raise InvalidRotationError(f"matrix is not orthonormal (max |R R^T - I| = {err:.3g})")
         det = float(np.linalg.det(rot))
@@ -251,13 +255,18 @@ class PointIndex:
     """Immutable nearest-neighbor index over an (N, 3) point set.
 
     The kd-tree splits at sliding midpoints (``balanced_tree=False``),
-    which builds faster than median splits; queries are exact either way.
+    keeps up to `_TREE_LEAF_SIZE` points per leaf and skips shrinking node
+    boxes to their points (``compact_nodes=False``): all three build
+    faster. Queries are exact for any tree shape, and every caller reads
+    only distances, or a minimum over `ball` results, so no query result
+    depends on these settings.
     """
 
     def __init__(self, points: np.ndarray):
         self._points = _as_points(points).copy()
         self._points.setflags(write=False)
-        self._tree = (cKDTree(self._points, balanced_tree=False)
+        self._tree = (cKDTree(self._points, leafsize=_TREE_LEAF_SIZE,
+                              balanced_tree=False, compact_nodes=False)
                       if len(self._points) else None)
 
     @property
@@ -502,7 +511,8 @@ def sight_reach(radius: float, clearance: float) -> float:
     point beyond the reach is farther than ``clearance + h/2`` plus a margin
     (h = `_SIGHT_SPACING`) from all of them; no sample's bounded query finds
     it, the exact test never sees it block, and dropping it changes no flag.
-    The 1e-6 m term absorbs the rounding of `hypot`."""
+    The 1e-6 m term absorbs the rounding of the crop's squared distances
+    (`PointCloudScene.obstacle_index`)."""
     return radius + clearance + 0.5 * _SIGHT_SPACING + 1e-6
 
 

@@ -298,6 +298,12 @@ class PointCloudScene:
         `reach` it keeps only the points within that horizontal distance of
         the centroid (`geometry.sight_reach` gives one that decides no sight
         flag); no vertical crop, as a low target keeps the floor in any band.
+
+        The reach test compares squared distances, ``dx*dx + dy*dy <=
+        reach*reach``. It can differ from an exact test only for points a
+        few ulps from the reach, far inside the 1e-6 m margin that
+        `sight_reach` adds, where no point decides a flag. A coordinate
+        whose square overflows gives inf and is dropped.
         """
         if exclude_instance is None and (target_exclusion > 0.0 or reach is not None):
             raise ValueError("target_exclusion and reach need an excluded instance")
@@ -308,11 +314,22 @@ class PointCloudScene:
             mask &= self.points[:, 2] >= min_z
         if reach is not None:
             cx, cy, _ = self.centroid_of(exclude_instance)
-            mask &= np.hypot(self.points[:, 0] - cx, self.points[:, 1] - cy) <= reach
-        points = self.points[mask]
+            dx = self.points[:, 0] - cx
+            dy = self.points[:, 1] - cy
+            with np.errstate(over="ignore"):
+                dx *= dx
+                dy *= dy
+                dx += dy
+            mask &= dx <= reach * reach
+        points = self.points.take(np.flatnonzero(mask), axis=0)
         if target_exclusion > 0.0:
-            centroid = self.centroid_of(exclude_instance)
-            points = points[np.linalg.norm(points - centroid, axis=1) > target_exclusion]
+            # np.linalg.norm's row norm, summed in its order: equal bit for bit
+            d = points - self.centroid_of(exclude_instance)
+            with np.errstate(over="ignore"):
+                d *= d
+                dist = d[:, 0] + d[:, 1]
+                dist += d[:, 2]
+            points = points[np.sqrt(dist, out=dist) > target_exclusion]
         return PointIndex(points)
 
     # -- queries ------------------------------------------------------------
@@ -333,7 +350,8 @@ class PointCloudScene:
                 f"{self.embedding_dim}")
         if not np.isfinite(q).all():
             raise ValueError("query embedding has a non-finite component")
-        norm = float(np.linalg.norm(q))
+        with np.errstate(over="ignore"):    # a huge component gives norm inf
+            norm = float(np.linalg.norm(q))
         if abs(norm - 1.0) > EMBEDDING_NORM_TOL:
             raise ValueError(f"query embedding must be unit length, got norm {norm}")
         scored = [(float(inst.embedding @ q), inst) for inst in embedded]
@@ -396,7 +414,8 @@ def _parse_instance(record: dict, n_points: int, dim: int,
             raise FileFormatError(
                 f"{path}: instance {inst_id} embedding has {embedding.size} "
                 f"values, header declares {dim}")
-        norm = float(np.linalg.norm(embedding))
+        with np.errstate(over="ignore"):    # a huge component gives norm inf
+            norm = float(np.linalg.norm(embedding))
         if not abs(norm - 1.0) <= EMBEDDING_NORM_TOL:
             raise FileFormatError(
                 f"{path}: instance {inst_id} embedding norm {norm} is not 1")

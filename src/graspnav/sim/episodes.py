@@ -98,11 +98,15 @@ def _approach_rotation(approach: np.ndarray) -> np.ndarray:
     """Orthonormal matrix whose first column is the horizontal approach."""
     x = np.asarray(approach, dtype=np.float64)
     x = x / np.linalg.norm(x)
-    up = np.array([0.0, 0.0, 1.0])
-    y = np.cross(up, x)
+    x0, x1, x2 = x.tolist()
+    # y = cross(up, x) and z = cross(x, y), term for term as np.cross
+    # computes them, zero products included, so signed zeros match
+    y = np.array([0.0 * x2 - 1.0 * x1, 1.0 * x0 - 0.0 * x2, 0.0 * x1 - 0.0 * x0])
     y = y / np.linalg.norm(y)
-    z = np.cross(x, y)
-    return np.column_stack([x, y, z])
+    y0, y1, y2 = y.tolist()
+    return np.array([[x0, y0, x1 * y2 - x2 * y1],
+                     [x1, y1, x2 * y0 - x0 * y2],
+                     [x2, y2, x0 * y1 - x1 * y0]])
 
 
 def _sweep_sector(approach: np.ndarray, count: int) -> int:
@@ -127,6 +131,7 @@ def _propose_grasps(target: PlacedObject, scene: PointCloudScene,
     sigma = config.sim.tier_sigma(target.tier, noise.depth_sigma)
     lo, hi = noise.confidence_range
     per_sweep: list[list[GraspCandidate]] = [[] for _ in rotations]
+    sweeps: dict[int, Pose] = {}    # sector -> sweep pose, built on first use
     for truth in target.truth_grasps:
         u_drop = rng.random()
         offset = rng.standard_normal(3)
@@ -136,9 +141,10 @@ def _propose_grasps(target: PlacedObject, scene: PointCloudScene,
         center = truth.center + sigma * offset
         world = Pose(_approach_rotation(truth.approach), center)
         sector = _sweep_sector(truth.approach, sweep_count)
-        sweep = sweep_pose(rotations[sector], centroid)
+        if sector not in sweeps:
+            sweeps[sector] = sweep_pose(rotations[sector], centroid)
         per_sweep[sector].append(GraspCandidate(
-            pose=sweep.compose(world), width=truth.width, score=conf))
+            pose=sweeps[sector].compose(world), width=truth.width, score=conf))
     return [GraspBatch(r, cands) for r, cands in zip(rotations, per_sweep)]
 
 

@@ -31,11 +31,14 @@ def stratified_rect(width: float, height: float, density: float,
     cell = 1.0 / math.sqrt(density)
     nx = max(1, round(width / cell))
     ny = max(1, round(height / cell))
-    jitter = rng.random((ny, nx, 2))
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
-    xs = (ix + jitter[:, :, 0]) * (width / nx)
-    ys = (iy + jitter[:, :, 1]) * (height / ny)
-    return np.stack([xs.ravel(), ys.ravel()], axis=1)
+    # (i + jitter) * (w / n) per axis, computed in place in the one draw
+    cells = rng.random((ny, nx, 2))
+    xs, ys = cells[:, :, 0], cells[:, :, 1]
+    xs += np.arange(nx)
+    xs *= width / nx
+    ys += np.arange(ny)[:, None]
+    ys *= height / ny
+    return cells.reshape(-1, 2)
 
 
 @dataclass(frozen=True)

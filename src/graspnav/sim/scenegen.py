@@ -352,10 +352,11 @@ def generate_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
         label_codes[label] = code
 
     # assemble the cloud: floor, then objects, then cabinet
-    clouds = []
     floor_xy = stratified_rect(spec.floor_extent, spec.floor_extent,
-                               spec.density, rng) - half
-    clouds.append(np.column_stack([floor_xy, np.zeros(len(floor_xy))]))
+                               spec.density, rng)
+    floor_pts = np.zeros((len(floor_xy), 3))
+    np.subtract(floor_xy, half, out=floor_pts[:, :2])
+    clouds = [floor_pts]
 
     instances: list[InstanceMask] = []
     objects: list[PlacedObject] = []

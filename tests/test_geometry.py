@@ -10,6 +10,7 @@ Expected values in the analytic tests are worked out in the comments.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,20 @@ class TestPose:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 Pose(np.eye(3), np.array([0.0, bad, 0.0]))
+
+    def test_huge_rotation_entries_rejected_without_a_warning(self):
+        # the product R R^T overflows to inf or inf - inf; both fail the check
+        huge = [np.diag([1.3407807929942597e154, 1.0, 1.0]),
+                np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]]),
+                np.diag([1e300, 1e300, 1e300]), np.diag([-1e300, 1.0, 1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rotation in huge:
+                with pytest.raises(InvalidRotationError, match="not orthonormal"):
+                    Pose(rotation, np.zeros(3))
+                with pytest.raises(InvalidRotationError, match="not orthonormal"):
+                    Pose.from_matrix(np.block([[rotation, np.zeros((3, 1))],
+                                               [np.array([[0.0, 0.0, 0.0, 1.0]])]]))
 
     def test_batch_apply_matches_single(self):
         rng = np.random.default_rng(11)
@@ -630,6 +645,20 @@ class TestPointIndex:
                 radius = float(rng.uniform(0.05, 1.5))
                 assert (sorted(index.ball(q, radius).tolist())
                         == sorted(balanced.query_ball_point(q, radius)))
+
+    def test_nearest_equals_a_brute_force_minimum(self):
+        # no distance depends on the tree's build settings: each equals,
+        # bit for bit, the minimum over every stored point, duplicates included
+        rng = np.random.default_rng(44)
+        for pts in _clouds(rng):
+            pts = np.vstack([pts, pts[rng.integers(len(pts), size=len(pts) // 2 + 1)]])
+            index = PointIndex(pts)
+            queries = np.vstack([rng.uniform(-2.5, 2.5, size=(150, 3)), pts[-20:]])
+            got, idx = index.nearest(queries)
+            sq = (pts[None, :, :] - queries[:, None, :]) ** 2
+            every = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+            np.testing.assert_array_equal(got, every.min(axis=1))
+            np.testing.assert_array_equal(got, every[np.arange(len(queries)), idx])
 
     def test_batched_nearest_equals_scalar_calls(self):
         rng = np.random.default_rng(43)

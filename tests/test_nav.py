@@ -9,6 +9,7 @@ re-checks line of sight by dense segment sampling.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -396,3 +397,19 @@ class TestSightIndexCrop:
             assert seen == {None, REASON_OUT_OF_SCENE, REASON_NO_LINE_OF_SIGHT}
         assert all(c <= f for c, f in zip(cropped_sizes, full_sizes))
         assert sum(cropped_sizes) < 0.9 * sum(full_sizes)
+
+    def test_far_points_validate_without_a_warning(self):
+        # a coordinate of 1e200 squares to inf in the crop: dropped, no warning
+        far = np.array([[1e200, 0.0, 0.5], [0.0, -1e200, 0.5], [1e200, 1e200, 1e200]])
+        cfg = self.CONFIGS[0]
+        for seed in range(6):
+            base = post_scene(seed)
+            scene = PointCloudScene(points=np.vstack([base.points, far]), colors=None,
+                                    instances=base.instances, embedding_dim=4)
+            cands = sample_positions(base.centroid_of(0), cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = validate_candidates(cands, scene, 0, cfg)
+            want = validate_candidates(cands, base, 0, cfg)
+            assert ([(c.valid, c.reason, c.d_obstacles) for c in got]
+                    == [(c.valid, c.reason, c.d_obstacles) for c in want])

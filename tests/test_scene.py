@@ -462,6 +462,17 @@ class TestLoadScene:
         with pytest.raises(FileFormatError, match="norm"):
             load_scene(cloud, str(inst_path))
 
+    def test_huge_embedding_component_rejected_without_a_warning(self, cloud, tmp_path):
+        inst_path = tmp_path / "instances.json"
+        write_instances_json(inst_path, 2, [
+            {"id": 0, "label": "mug", "confidence": 0.8,
+             "point_indices": [0], "embedding": [1e200, 0.0]},
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError, match="embedding norm inf is not 1"):
+                load_scene(cloud, str(inst_path))
+
     def test_embedding_dim_mismatch_rejected(self, cloud, tmp_path):
         inst_path = tmp_path / "instances.json"
         write_instances_json(inst_path, 3, [
@@ -524,6 +535,13 @@ class TestQueryInstance:
         scene = make_scene(np.zeros((3, 3)), [(0, "mug", [0], [1.0, 0.0, 0.0, 0.0])])
         with pytest.raises(ValueError, match="non-finite"):
             scene.query_instance(np.array([bad, 0.0, 0.0, 0.0]))
+
+    def test_huge_query_component_rejected_without_a_warning(self):
+        scene = make_scene(np.zeros((3, 3)), [(0, "mug", [0], [1.0, 0.0, 0.0, 0.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="got norm inf"):
+                scene.query_instance(np.array([1e200, 0.0, 0.0, 0.0]))
 
     def test_matches_brute_force_sort(self):
         rng = np.random.default_rng(31)
@@ -621,6 +639,35 @@ class TestSightCropAndCaches:
             np.testing.assert_array_equal(index.points, pts[keep])
             assert 0 < len(index) < len(scene.obstacle_index(
                 exclude_instance=0, target_exclusion=exclusion))
+
+    def test_squared_reach_and_hypot_differ_only_at_the_reach_rounding(self):
+        # points a few ulps either side of the reach, and 1e-7 m inside it:
+        # the squared-distance test keeps every point hypot keeps short of
+        # the reach's last ulps, far points (their squares overflow) go
+        # without a warning, and no point past the rounding is kept
+        rng = np.random.default_rng(27)
+        target = rng.uniform(-0.1, 0.1, size=(50, 3))
+        centroid = target.mean(axis=0)
+        far = np.array([[1e200, 0.0, 0.0], [0.0, -1e200, 0.5], [1e300, 1e300, 1e300]])
+        for reach in (0.3, 1.2, 2.0 / 3.0, 3.7051):
+            angle = rng.uniform(0.0, 2.0 * np.pi, 4000)
+            radius = reach * (1.0 + rng.integers(-6, 7, 4000) * np.finfo(float).eps)
+            radius[::8] = reach - 1e-7
+            ring = np.column_stack([centroid[0] + radius * np.cos(angle),
+                                    centroid[1] + radius * np.sin(angle),
+                                    rng.uniform(-1.0, 1.0, 4000)])
+            scene = make_scene(np.vstack([target, ring, far]),
+                               [(0, "a", list(range(50)), None)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                index = scene.obstacle_index(exclude_instance=0, reach=reach)
+            kept = np.isin(ring.view([("", float)] * 3).ravel(),
+                           index.points.view([("", float)] * 3).ravel())
+            assert len(index) == kept.sum()        # no far or target point
+            ground = np.hypot(ring[:, 0] - centroid[0], ring[:, 1] - centroid[1])
+            assert kept[ground <= reach - 1e-9].all() and kept[::8].all()
+            assert np.all(np.abs(ground[kept != (ground <= reach)] - reach)
+                          <= 8 * np.spacing(reach))
 
     def test_reach_needs_an_instance(self):
         scene = make_scene(np.zeros((3, 3)), [])

@@ -19,7 +19,8 @@ from graspnav.sim import (Box, CabinetSpec, Cylinder, NoiseModel, ObjectSpec,
                           generate_scene, render_depth, run_grasp_batch,
                           run_grasp_episode, run_search_batch,
                           run_search_episode, stratified_rect, summarize)
-from graspnav.sim.episodes import STAGES, EpisodeReport, StageOutcome
+from graspnav.sim.episodes import (STAGES, EpisodeReport, StageOutcome,
+                                   _approach_rotation)
 from graspnav.sim.primitives import aabbs_overlap
 from graspnav.sim.render import add_depth_noise, trace_depth
 from graspnav.sim.scenegen import TIER_GRASP_COUNTS, load_scene_spec
@@ -58,6 +59,34 @@ class TestStratifiedRect:
         assert len(pts) >= 1
         assert np.all((pts[:, 0] >= 0) & (pts[:, 0] <= w))
         assert np.all((pts[:, 1] >= 0) & (pts[:, 1] <= h))
+
+    @staticmethod
+    def meshgrid_reference(width, height, density, rng):
+        """The grid formula as two meshgrids and a stack."""
+        cell = 1.0 / math.sqrt(density)
+        nx, ny = max(1, round(width / cell)), max(1, round(height / cell))
+        jitter = rng.random((ny, nx, 2))
+        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
+        xs = (ix + jitter[:, :, 0]) * (width / nx)
+        ys = (iy + jitter[:, :, 1]) * (height / ny)
+        return np.stack([xs.ravel(), ys.ravel()], axis=1)
+
+    def test_bit_equal_to_the_meshgrid_formula(self):
+        # 1x1, 1xn and nx1 grids, non-square cells, the stock floor and faces
+        sizes = [(0.01, 0.01, 1.0), (0.3, 0.02, 2500.0), (0.02, 0.3, 2500.0),
+                 (4.0, 4.0, 2500.0), (0.30, 0.25, 2500.0), (0.05, 0.18, 2500.0),
+                 (2.0, 0.5, 100.0), (1.7, 0.9, 333.3)]
+        rng = np.random.default_rng(30)
+        sizes += [(w, h, d) for w, h, d in zip(rng.uniform(0.01, 3.0, 40),
+                                                rng.uniform(0.01, 3.0, 40),
+                                                rng.uniform(1.0, 5000.0, 40))]
+        for i, (w, h, d) in enumerate(sizes):
+            for seed in (i, 1000 + i):
+                got = stratified_rect(w, h, d, np.random.default_rng(seed))
+                want = self.meshgrid_reference(w, h, d, np.random.default_rng(seed))
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (w, h, d, seed)
+        assert len(stratified_rect(0.01, 0.01, 1.0, rng)) == 1
 
 
 class TestBox:
@@ -639,6 +668,33 @@ class TestGraspEpisode:
         assert "timings_ms" not in payload
         assert payload["task"] == "grasp"
         assert [s["name"] for s in payload["stages"]] == list(STAGES)
+
+
+class TestApproachRotation:
+    @staticmethod
+    def cross_reference(approach):
+        """The rotation built with np.cross."""
+        x = np.asarray(approach, dtype=np.float64)
+        x = x / np.linalg.norm(x)
+        y = np.cross(np.array([0.0, 0.0, 1.0]), x)
+        y = y / np.linalg.norm(y)
+        return np.column_stack([x, y, np.cross(x, y)])
+
+    def test_bit_equal_to_np_cross(self):
+        rng = np.random.default_rng(31)
+        approaches = rng.normal(size=(3000, 3))
+        approaches[::3, 2] = 0.0                      # horizontal, as truth grasps are
+        approaches[1::6, 0] = 0.0
+        approaches[2::6, 1] = 0.0
+        approaches[3::12, 0] *= -0.0                  # zeros of either sign
+        approaches[9::12, 1] *= -0.0
+        stock = [[0.0, -1.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                 [-0.0, 1.0, 0.0], [1.0, -0.0, 0.0], [-0.0, -1.0, -0.0],
+                 [-math.cos(2.0), -math.sin(2.0), 0.0]]
+        for approach in [*approaches, *np.array(stock)]:
+            got, want = _approach_rotation(approach), self.cross_reference(approach)
+            assert got.shape == want.shape == (3, 3)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSearchEpisode:
