@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .codec import MAX_LENGTH, JsonCodec, bounded, decode_value, read_json_object, to_json
 from .errors import (ConfigError, DegenerateBBoxError, DegenerateInputError,
@@ -194,11 +193,89 @@ def solve_assignment(costs: np.ndarray) -> list[tuple[int, int]]:
     size = max(n_rows, n_cols)
     padded = np.full((size, size), UNMATCHED_COST)
     padded[:n_rows, :n_cols] = costs
-    rows, cols = linear_sum_assignment(padded)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols)
-             if r < n_rows and c < n_cols and padded[r, c] < UNMATCHED_COST]
-    pairs.sort()
-    return pairs
+    cols = _min_cost_columns(padded)
+    return [(r, c) for r, c in enumerate(cols)
+            if r < n_rows and c < n_cols and padded[r, c] < UNMATCHED_COST]
+
+
+def _min_cost_columns(cost: np.ndarray) -> list[int]:
+    """Column assigned to each row in a minimum-cost perfect matching.
+
+    Shortest augmenting paths with dual variables (Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 52(4),
+    2016), ported line by line from scipy's `linear_sum_assignment`
+    (``rectangular_lsap.cpp``) for a square matrix. It keeps scipy's
+    order: the scan list starts at the last column, a reduced cost is
+    ``min_val + cost[i][j] - u[i] - v[j]`` evaluated left to right, ties
+    go to a free column, a visited column is swap-removed from the scan
+    list, and the dual updates and the augmentation run as there. With
+    no multiply in the loop, each double comes out as scipy's, so the
+    same columns win, ties included. Cost is O(n^3) for an (n, n)
+    matrix.
+
+    Raises:
+        ValueError: an entry is NaN or -inf, or no perfect matching of
+            finite cost exists; with scipy's messages.
+    """
+    n = len(cost)
+    if np.any(np.isnan(cost) | (cost == -math.inf)):
+        raise ValueError("matrix contains invalid numeric entries")
+    rows = cost.tolist()
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur_row in range(n):
+        # shortest augmenting path from cur_row to a free column
+        remaining = list(range(n - 1, -1, -1))
+        in_rows = [False] * n
+        in_cols = [False] * n
+        spc = [math.inf] * n
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = math.inf
+            in_rows[i] = True
+            row, ui = rows[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest = spc[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # update the dual variables
+        u[cur_row] += min_val
+        for i in range(n):
+            if in_rows[i] and i != cur_row:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(n):
+            if in_cols[j]:
+                v[j] -= min_val - spc[j]
+        # augment the previous matching along the path
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
 
 
 def match_handles_to_drawers(handles: Sequence[Detection2D],

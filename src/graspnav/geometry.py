@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .codec import JsonCodec, bounded
 from .errors import (
@@ -263,6 +262,8 @@ class PointIndex:
     """
 
     def __init__(self, points: np.ndarray):
+        # imported here, so commands that build no kd-tree never load scipy
+        from scipy.spatial import cKDTree
         self._points = _as_points(points).copy()
         self._points.setflags(write=False)
         self._tree = (cKDTree(self._points, leafsize=_TREE_LEAF_SIZE,
@@ -386,6 +387,30 @@ def _lstsq_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, float(normal @ centroid)
 
 
+def _clearly_spans_plane(pts: np.ndarray) -> bool:
+    """True when `pts` pass the SVD collinearity rule by a wide margin.
+
+    The eigenvalues ``lam`` (ascending) of the centred 3x3 scatter are the
+    squared singular values of the centred cloud. Accepting only when
+    ``lam[1] >= 1e-8 * max(lam[2], 1)`` asks for sigma_2 >= 1e-4 *
+    max(sigma_1, 1), eight orders of magnitude above the SVD rule's 1e-12.
+    Forming the scatter rounds it by about n * 2**-53 relative to its
+    largest eigenvalue (below 1e-9 for millions of points), and the two
+    centroids differ only in rounding, so the SVD rule accepts every cloud
+    accepted here and no fit decides differently. False decides nothing:
+    the caller then runs the SVD rule, which also owns every error for
+    collinear or non-finite input.
+    """
+    cols = pts.T.copy()  # (3, n), C order: contiguous rows for the means
+    with np.errstate(all="ignore"):  # overflow or NaN falls through to the SVD
+        cols -= cols.mean(axis=1, keepdims=True)
+        scatter = cols @ cols.T
+    if not np.all(np.isfinite(scatter)):
+        return False
+    lam = np.linalg.eigvalsh(scatter)
+    return bool(lam[1] >= 1e-8 * max(lam[2], 1.0))
+
+
 def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
                  seed: int = 0) -> Plane:
     """Fit the dominant plane by seeded RANSAC with a least-squares refit.
@@ -411,10 +436,11 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
     n = len(pts)
     if n < 3:
         raise DegenerateInputError(f"plane fit needs at least 3 points, got {n}")
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[1] <= 1e-12 * max(sv[0], 1.0):
-        raise DegenerateInputError("points are collinear; no unique plane exists")
+    if not _clearly_spans_plane(pts):
+        centered = pts - pts.mean(axis=0)
+        sv = np.linalg.svd(centered, compute_uv=False)
+        if sv[1] <= 1e-12 * max(sv[0], 1.0):
+            raise DegenerateInputError("points are collinear; no unique plane exists")
 
     rng = np.random.default_rng(seed)
     triplets = rng.integers(0, n, size=(params.iterations, 3))

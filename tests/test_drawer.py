@@ -12,7 +12,9 @@ import re
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from graspnav import drawer
 from graspnav.drawer import (Detection2D, DetectionFrame, DrawerConfig,
                              DrawerTarget, MatchedPair, ViewTarget,
                              assignment_costs, estimate_axis, fuse_views,
@@ -166,6 +168,63 @@ class TestMatching:
             for i, j in pairs:
                 total += costs[i, j]
             assert total == brute_force_min_total(costs)
+
+
+def _lsap_matrices(rng):
+    """Seeded square cost matrices of the kinds the matcher can meet, and worse."""
+    for size in range(1, 13):
+        for _ in range(25):
+            yield rng.normal(size=(size, size))
+            yield rng.integers(0, 3, size=(size, size)).astype(float)  # ties
+            # inexact tenths: rounding of each reduced cost decides the ties
+            yield rng.integers(0, 10, size=(size, size)) / 10.0
+            yield np.full((size, size), float(rng.integers(-2, 3)))
+            padded = np.full((size, size), drawer.UNMATCHED_COST)
+            h, d = rng.integers(0, size + 1, size=2)
+            padded[:h, :d] = -(10.0 * rng.uniform(size=(h, d)) + rng.uniform(size=d))
+            yield padded
+            yield rng.normal(size=(size, size)) * 1e6
+            holed = rng.integers(0, 3, size=(size, size)).astype(float)
+            holed[rng.uniform(size=(size, size)) < 0.3] = math.inf
+            yield holed
+    yield rng.normal(size=(64, 64))
+    yield rng.integers(0, 3, size=(64, 64)).astype(float)
+
+
+def _lsap_outcome(solve, cost):
+    try:
+        return [int(c) for c in solve(cost)]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestMinCostColumns:
+    """The in-tree solver picks scipy's columns, ties and errors included."""
+
+    def test_equals_scipy_on_seeded_matrices(self):
+        rng = np.random.default_rng(23)
+        raised = 0
+        for cost in _lsap_matrices(rng):
+            expected = _lsap_outcome(lambda c: linear_sum_assignment(c)[1], cost)
+            assert _lsap_outcome(drawer._min_cost_columns, cost) == expected, cost
+            raised += isinstance(expected, str)
+        assert raised > 0  # some +inf-holed matrices are infeasible
+
+    @pytest.mark.parametrize("entry", [math.nan, -math.inf])
+    def test_invalid_entry_raises_like_scipy(self, entry):
+        cost = np.arange(9.0).reshape(3, 3)
+        cost[1, 2] = entry
+        with pytest.raises(ValueError, match="matrix contains invalid numeric entries"):
+            linear_sum_assignment(cost)
+        with pytest.raises(ValueError, match="matrix contains invalid numeric entries"):
+            drawer._min_cost_columns(cost)
+
+    def test_infeasible_raises_like_scipy(self):
+        cost = np.array([[1.0, math.inf], [2.0, math.inf]])
+        with pytest.raises(ValueError, match="cost matrix is infeasible"):
+            linear_sum_assignment(cost)
+        with pytest.raises(ValueError, match="cost matrix is infeasible"):
+            drawer._min_cost_columns(cost)
 
 
 def sorted_box(rng, lo=0.0, hi=60.0):

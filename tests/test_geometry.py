@@ -364,6 +364,115 @@ class TestRansacPlane:
         assert hits >= 19
 
 
+def svd_collinearity_rule(pts: np.ndarray) -> None:
+    """The collinearity check that ransac_plane ran on every cloud before
+    the scatter fast path."""
+    centered = pts - pts.mean(axis=0)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    if sv[1] <= 1e-12 * max(sv[0], 1.0):
+        raise DegenerateInputError("points are collinear; no unique plane exists")
+
+
+def _collinearity_outcome(check, pts):
+    """None when `check` lets the cloud through, else the error's type and text."""
+    try:
+        check(pts)
+    except NoPlaneFoundError:
+        return None  # raised only after the collinearity check passed
+    except Exception as exc:  # noqa: BLE001 - RuntimeWarning too, as an error
+        return type(exc), str(exc)
+    return None
+
+
+def _line(rng, n: int, jitter: float = 0.0) -> np.ndarray:
+    """n points along a random line, offset perpendicularly by up to `jitter`."""
+    rot = random_rotation(rng)
+    local = np.zeros((n, 3))
+    local[:, 0] = rng.uniform(-1.0, 1.0, size=n)
+    local[:, 1:] = rng.uniform(-jitter, jitter, size=(n, 2))
+    return local @ rot.T + rng.uniform(-3.0, 3.0, size=3)
+
+
+def _plane(rng, n: int) -> np.ndarray:
+    """n points on a random plane with millimetre noise and a few outliers."""
+    local = np.stack([rng.uniform(-0.3, 0.3, size=n), rng.uniform(-0.2, 0.2, size=n),
+                      rng.normal(0.0, 0.001, size=n)], axis=1)
+    local[: n // 10] = rng.uniform(-0.3, 0.3, size=(n // 10, 3))
+    return local @ random_rotation(rng).T + rng.uniform(-3.0, 3.0, size=3)
+
+
+class TestCollinearityCheck:
+    """ransac_plane rejects exactly the clouds the SVD rule rejects, with the
+    same error, and its fast path accepts only clouds that rule accepts."""
+
+    @staticmethod
+    def _decide(pts: np.ndarray):
+        expected = _collinearity_outcome(svd_collinearity_rule, pts)
+        fit = lambda p: ransac_plane(p, RansacParams(iterations=16), seed=0)  # noqa: E731
+        assert _collinearity_outcome(fit, pts) == expected
+        if geometry._clearly_spans_plane(pts):
+            assert expected is None
+        return expected
+
+    def test_random_planes_take_the_fast_path(self):
+        rng = np.random.default_rng(31)
+        for n in [3, 4, 10, 100, 1000, 5000] * 5:
+            pts = _plane(rng, n) if n > 3 else rng.normal(size=(n, 3))
+            assert self._decide(pts) is None
+            assert geometry._clearly_spans_plane(pts)
+
+    def test_exact_lines_rejected(self):
+        rng = np.random.default_rng(32)
+        for n in [3, 10, 1000] * 5:
+            outcome = self._decide(_line(rng, n))
+            assert outcome is not None and outcome[0] is DegenerateInputError
+            pts = np.outer(np.linspace(-1.0, 1.0, n), [1.0, 2.0, -0.5])
+            assert self._decide(pts) is not None
+
+    def test_jittered_lines_across_the_threshold(self):
+        rng = np.random.default_rng(33)
+        outcomes = []
+        for exponent in range(-13, -2):
+            for n in (3, 50, 2000):
+                outcomes.append(self._decide(_line(rng, n, jitter=10.0 ** exponent)))
+        assert None in outcomes and any(o is not None for o in outcomes)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_tiny_and_huge_scales(self, scale):
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            self._decide(_plane(rng, 500) * scale)
+            self._decide(_line(rng, 500) * scale)
+            self._decide(_line(rng, 500, jitter=1e-3) * scale)
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(35)
+        assert self._decide(np.repeat(_plane(rng, 200), 3, axis=0)) is None
+        assert self._decide(np.repeat(_line(rng, 2), 50, axis=0)) is not None
+        assert self._decide(np.tile([1.0, -2.0, 0.5], (100, 1))) is not None
+
+    def test_three_point_sets(self):
+        assert self._decide(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])) is None
+        assert self._decide(np.array([[0.0, 0, 0], [1, 1, 1], [2, 2, 2]])) is not None
+        assert self._decide(np.zeros((3, 3))) is not None
+        self._decide(np.array([[0.0, 0, 0], [1, 0, 0], [2, 1e-9, 0]]))
+
+    def test_input_left_unchanged(self):
+        pts = np.asfortranarray(_plane(np.random.default_rng(37), 300))
+        before = pts.copy()
+        assert geometry._clearly_spans_plane(pts)
+        np.testing.assert_array_equal(pts, before)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_fails_as_before(self, bad):
+        rng = np.random.default_rng(36)
+        pts = _plane(rng, 100)
+        pts[7, 1] = bad
+        assert self._decide(pts) is not None
+        assert not geometry._clearly_spans_plane(pts)
+        assert self._decide(np.full((5, 3), bad)) is not None
+
+
 def _tilt(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
