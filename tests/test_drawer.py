@@ -645,6 +645,21 @@ class TestFrameIO:
         with pytest.raises(FileFormatError, match=needle):
             load_detection_frame(path)
 
+    def test_detection_count_is_capped(self, tmp_path):
+        path = tmp_path / "frame.json"
+        write_detection_frame(path, self.sample_frame())
+        doc = json.loads(path.read_text())
+        assert drawer.MAX_DETECTIONS == 256
+        doc["detections"] = [doc["detections"][i % 2] for i in range(256)]
+        path.write_text(json.dumps(doc))
+        assert len(load_detection_frame(path).detections) == 256
+        # the count is checked before any box is decoded
+        doc["detections"].append({"class": 5})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}: 257 detections, above the cap of 256 per frame")):
+            load_detection_frame(path)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_depth_names_the_depth_file(self, tmp_path, bad):
         frame = self.sample_frame()

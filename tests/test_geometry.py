@@ -508,10 +508,8 @@ def ransac_reference(pts: np.ndarray, params: RansacParams, seed: int):
             best_count = int(counts[k])
             best_iter = lo + k
     inliers = np.abs(pts @ normals[best_iter] - offsets[best_iter]) <= params.threshold
-    centroid = pts[inliers].mean(axis=0)
-    _, _, vt = np.linalg.svd(pts[inliers] - centroid, full_matrices=False)
-    normal = vt[-1] / np.linalg.norm(vt[-1])
-    offset = float(normal @ centroid)
+    # the shipped refit, pinned against the SVD refit by TestRansacRefit
+    normal, offset = geometry._refit_plane(pts[inliers])
     return normal, offset, int(np.count_nonzero(np.abs(pts @ normal - offset)
                                                 <= params.threshold))
 
@@ -626,6 +624,92 @@ class TestRansacEarlyStop:
             np.testing.assert_array_equal(long[:64], short)
 
 
+def svd_refit(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """The refit ransac_plane ran before the scatter: the last right singular
+    vector of the centred (m, 3) cloud."""
+    centroid = points.mean(axis=0)
+    _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
+    normal = vt[-1] / np.linalg.norm(vt[-1])
+    return normal, float(normal @ centroid)
+
+
+def _flat_cloud(rng, m: int, scale: float, far: float, noise: float,
+                aspect: float = 0.7) -> np.ndarray:
+    """m points on a tilted aspect:1 patch of size `scale` with normal noise
+    `noise * scale`, its centre `far` metres from the origin."""
+    local = np.stack([rng.uniform(-1.0, 1.0, m), rng.uniform(-aspect, aspect, m),
+                      rng.normal(0.0, noise, m)], axis=1)
+    return local @ random_rotation(rng).T * scale + far * random_rotation(rng)[0]
+
+
+class TestRansacRefit:
+    """_refit_plane (eigenvectors of the centred 3x3 scatter) against the SVD
+    refit it replaced: the same normal up to sign, and the same plane over
+    the cloud."""
+
+    @staticmethod
+    def _assert_matches_svd(points: np.ndarray) -> None:
+        normal, offset = geometry._refit_plane(points)
+        ref_normal, ref_offset = svd_refit(points)
+        assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+        dot = float(normal @ ref_normal)
+        assert abs(dot) >= 1.0 - 1e-12
+        # offsets compared at the cloud, not at the origin: 1e3 m away, a
+        # 1e-15 rad tilt below either fit's resolution moves the offset by
+        # 1e-12 m, 1e-9 of a 1 mm cloud
+        c = points.mean(axis=0)
+        gap = (offset - normal @ c) - math.copysign(1.0, dot) * (ref_offset - ref_normal @ c)
+        assert abs(gap) <= 1e-9 * np.ptp(points, axis=0).max()
+
+    # 1000 points: the SVD reference's (m, 3) mean sums row after row, and
+    # at 1e3 m from the origin its own rounding nears 1e-9 of a 1 mm cloud
+    # by 10k points
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("far", [0.0, 1e3])
+    def test_tilted_noisy_planes(self, scale, far):
+        rng = np.random.default_rng(int(math.log10(scale)) + 10 + int(far))
+        for noise in (0.0, 1e-3, 1e-2, 0.1):
+            for m in (3, 10, 1000):
+                self._assert_matches_svd(_flat_cloud(rng, m, scale, far, noise))
+
+    def test_thin_strips(self):
+        rng = np.random.default_rng(41)
+        for far in (0.0, 1e3):
+            for noise in (0.0, 1e-5):
+                self._assert_matches_svd(
+                    _flat_cloud(rng, 1000, 1.0, far, noise, aspect=1e-3))
+
+    def test_exactly_planar_sets(self):
+        # a grid on z = 0.25: the normal is +-z and every point lies on it
+        g = np.linspace(-1.0, 1.0, 11)
+        pts = np.stack([*np.meshgrid(g, g), np.full((11, 11), 0.25)], axis=-1).reshape(-1, 3)
+        normal, offset = geometry._refit_plane(pts)
+        np.testing.assert_allclose(np.abs(normal), [0.0, 0.0, 1.0], atol=1e-15)
+        assert abs(abs(offset) - 0.25) <= 1e-15
+        self._assert_matches_svd(pts)
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(42)
+        self._assert_matches_svd(np.repeat(_flat_cloud(rng, 50, 1.0, 3.0, 1e-3), 4, axis=0))
+        self._assert_matches_svd(np.tile(_flat_cloud(rng, 3, 1.0, 3.0, 0.0), (5, 1)))
+
+    def test_three_point_sets(self):
+        rng = np.random.default_rng(43)
+        self._assert_matches_svd(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+        for _ in range(20):
+            self._assert_matches_svd(rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 4))
+
+    def test_repeated_smallest_eigenvalue(self):
+        # collinear points: every normal of the line fits them, so only
+        # orthogonality to the data is asserted
+        rng = np.random.default_rng(44)
+        for pts in (np.outer(np.linspace(-1.0, 1.0, 20), [1.0, 2.0, -0.5]) + 7.0,
+                    np.repeat(rng.normal(size=(2, 3)), 10, axis=0)):
+            normal, offset = geometry._refit_plane(pts)
+            assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+            assert np.abs(pts @ normal - offset).max() <= 1e-12 * np.abs(pts).max()
+
+
 def _first_seed(iterations: int, wanted) -> int:
     """The lowest seed whose triplet draw over 3 points satisfies
     `wanted(distinct)`, where `distinct[i]` says whether triplet i names
@@ -652,17 +736,24 @@ class TestRansacBlockLayout:
         # layouts differently would make them pick different winners. Every
         # block size a fit can end on is checked: a one-row block is a
         # matrix-vector product, whose rounding depends on the points'
-        # memory order
+        # memory order. ransac_plane writes every block into one reused
+        # (16, n) buffer and counts each row on its own
         rng = np.random.default_rng(n + int(scale))
         pts = (rng.uniform(-1.0, 1.0, (n, 3)) @ random_rotation(rng).T * scale
                + rng.uniform(-scale, scale, 3))
+        dist_buf = np.full((16, n), np.nan)
+        near_buf = np.empty((16, n), dtype=bool)
         for block in range(1, 17):
             normals, offsets, _ = _hypotheses(pts, block, seed=n)
-            dist = normals @ pts.T
+            dist = np.matmul(normals, pts.T, out=dist_buf[:block])
+            assert dist.tobytes() == (normals @ pts.T).tobytes()
             dist -= offsets[:, None]
             np.abs(dist, out=dist)
             expected = np.abs(pts @ normals.T - offsets)
             assert dist.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+            near = np.less_equal(dist, 0.3 * scale, out=near_buf[:block])
+            assert ([np.count_nonzero(row) for row in near]
+                    == np.count_nonzero(near, axis=1).tolist())
 
     def test_all_degenerate_triplets_raise(self):
         # two blocks (16 + 4 hypotheses), every triplet repeating a point
