@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .codec import decode_value, read_json_object, to_json
+from .codec import JsonCodec, read_json, to_json
 from .config import RunConfig, load_run_config
 from .drawer import load_detection_frame
-from .errors import (ConfigError, FileFormatError, GraspNavError,
-                     LocalizationError)
+from .errors import FileFormatError, GraspNavError, LocalizationError
 from .grasp import load_grasp_batch
 # the EXIT_* codes stay importable from here for callers of main
 from .pipeline import (EXIT_GRASP_FILTER, EXIT_LOCALIZATION, EXIT_NAVIGATION,
@@ -69,24 +69,27 @@ def _int_in(low: int, high: int | None = None):
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; our contract reserves 2."""
 
+    def __init__(self, **kwargs):
+        super().__init__(epilog=_EXIT_CODES_HELP,
+                         formatter_class=argparse.RawDescriptionHelpFormatter,
+                         **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
 
+@dataclasses.dataclass(frozen=True)
+class _QueryFile(JsonCodec):
+    embedding: tuple[float, ...]
+
+
 def _load_query_embedding(path: str) -> np.ndarray:
-    raw = read_json_object(path, "query", or_list=True)
-    if isinstance(raw, dict):
-        raw = raw.get("embedding")
-    try:
-        values = decode_value(tuple[float, ...], raw, "embedding")
-        if not values:
-            raise ConfigError("embedding: expected at least one value")
-    except ConfigError as exc:
-        raise FileFormatError(
-            f"{path}: expected a non-empty flat JSON list of numbers, or an"
-            f" object whose 'embedding' is one ({exc})") from exc
+    """A query file holds a flat list of numbers, bare or as `embedding`."""
+    values = read_json(path, _QueryFile, "query", list_key="embedding").embedding
+    if not values:
+        raise FileFormatError(f"{path}: embedding: expected at least one value")
     return np.array(values)
 
 
@@ -123,8 +126,7 @@ def _grasp_dict(index: int, grasp) -> dict:
 def cmd_query(args) -> int:
     config = _resolve_config(args.config)
     scene = load_scene(args.scene, args.instances)
-    query = _load_query_embedding(args.query)
-    results = scene.query_instance(query)
+    results = scene.query_instance(_load_query_embedding(args.query))
     report = {
         "command": "query",
         "config": config,
@@ -140,10 +142,7 @@ def cmd_query(args) -> int:
 def cmd_plan_grasp(args) -> int:
     config = _resolve_config(args.config)
     scene = load_scene(args.scene, args.instances)
-    query = _load_query_embedding(args.query)
-
-    results = scene.query_instance(query)
-    top = results[0]
+    top = scene.query_instance(_load_query_embedding(args.query))[0]
     if top.similarity < config.grasp.min_similarity:
         raise LocalizationError(
             f"best similarity {top.similarity:.3f} is below the"
@@ -215,64 +214,61 @@ def cmd_simulate(args) -> int:
 # Wiring
 # ---------------------------------------------------------------------------
 
+# flags that several subcommands declare alike
+_SHARED_FLAGS = {
+    "--scene": dict(required=True, help="PLY point cloud"),
+    "--instances": dict(required=True, help="instances JSON"),
+    "--query": dict(required=True,
+                    help="JSON file holding the unit query embedding"),
+    "--config": dict(help="run config JSON"),
+    "--out": dict(help="report path (stdout when omitted)"),
+}
+
+
+def _shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="graspnav",
         description="Object localization, grasp/body planning, drawer"
-                    " matching, and seeded simulation.",
-        epilog=_EXIT_CODES_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+                    " matching, and seeded simulation.")
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
 
-    q = sub.add_parser("query", help="rank instances against an embedding",
-                       epilog=_EXIT_CODES_HELP,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    q.add_argument("--scene", required=True, help="PLY point cloud")
-    q.add_argument("--instances", required=True, help="instances JSON")
-    q.add_argument("--query", required=True,
-                   help="JSON file holding the unit query embedding")
-    q.add_argument("--config", help="run config JSON")
-    q.add_argument("--out", help="report path (stdout when omitted)")
+    q = sub.add_parser("query", help="rank instances against an embedding")
+    _shared(q, "--scene", "--instances", "--query", "--config", "--out")
     q.set_defaults(func=cmd_query)
 
     p = sub.add_parser("plan-grasp",
-                       help="localize, merge grasp sweeps, pick grasp + body",
-                       epilog=_EXIT_CODES_HELP,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--scene", required=True, help="PLY point cloud")
-    p.add_argument("--instances", required=True, help="instances JSON")
-    p.add_argument("--query", required=True,
-                   help="JSON file holding the unit query embedding")
+                       help="localize, merge grasp sweeps, pick grasp + body")
+    _shared(p, "--scene", "--instances", "--query")
     p.add_argument("--grasps", required=True, nargs="+",
                    help="grasp batch JSON files, one per rotation sweep")
-    p.add_argument("--config", help="run config JSON")
-    p.add_argument("--out", help="report path (stdout when omitted)")
+    _shared(p, "--config", "--out")
     p.set_defaults(func=cmd_plan_grasp)
 
     m = sub.add_parser("match-drawers",
-                       help="fuse drawer targets from detection frames",
-                       epilog=_EXIT_CODES_HELP,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+                       help="fuse drawer targets from detection frames")
     m.add_argument("--frames", required=True, nargs="+",
                    help="detection frame JSON files")
-    m.add_argument("--config", help="run config JSON")
+    _shared(m, "--config")
     m.add_argument("--seed", type=_int_in(0), default=0,
                    help="root seed, an integer >= 0 (default 0); per-frame"
                         " plane fits use derive_seed(seed, frame_index,"
                         " pair_index)")
-    m.add_argument("--out", help="report path (stdout when omitted)")
+    _shared(m, "--out")
     m.set_defaults(func=cmd_match_drawers)
 
-    s = sub.add_parser("simulate", help="run a seeded episode batch",
-                       epilog=_EXIT_CODES_HELP,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    s = sub.add_parser("simulate", help="run a seeded episode batch")
     s.add_argument("--task", required=True, choices=("grasp", "search"),
                    help="which episode type to run")
     s.add_argument("--episodes", type=_int_in(1, MAX_EPISODES), default=200,
                    help=f"number of episodes, 1 to {MAX_EPISODES} (default 200)")
     s.add_argument("--spec", help="scene spec JSON (built-in default per task)")
-    s.add_argument("--config", help="run config JSON")
+    _shared(s, "--config")
     s.add_argument("--seed", type=_int_in(0), default=0,
                    help="root seed, an integer >= 0 (default 0); episode i"
                         " uses derive_seed(seed, i, 0) for the scene and"
@@ -282,9 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves a parser unchanged, so one serves every call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraspNavError, ValueError, OSError) as exc:

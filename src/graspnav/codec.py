@@ -1,6 +1,6 @@
 """JSON in both directions: one codec for every config and scene-spec
-dataclass, for the values of every JSON input file, and one writer for
-every report and output file.
+dataclass and for every JSON input file, and one writer for every report
+and output file.
 
 A dataclass that subclasses `JsonCodec` gets `to_dict` and `from_dict`
 driven by its fields and their type hints. Decoding checks JSON input
@@ -15,8 +15,12 @@ declares its range once, with `bounded` (each item of a tuple is held to
 it), and `JsonCodec.__post_init__` checks every range, so objects built by
 Python callers pass the same check; a class's own `__post_init__` calls it
 first, then checks rules that span several fields. A `ValueError` or
-`ConfigError` raised while building is re-raised with the key path. File
-loaders read with `read_json_object` and check each value with `decode_value`.
+`ConfigError` raised while building is re-raised with the key path. A
+field whose name ends in ``_`` has that key without it (`class_` is
+``"class"``). Every JSON input file is declared as codec dataclasses and
+read with one `read_json` call, whose every failure is a `FileFormatError`
+naming the file; its loader checks only what a schema cannot state, such
+as index ranges or a rotation's orthonormality.
 
 Every file graspnav writes goes through `to_json`: keys sorted, NaN and
 infinity rejected, arrays written as lists and dataclasses as objects of
@@ -25,6 +29,7 @@ their fields, so the same values always give the same bytes.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -39,8 +44,7 @@ from .errors import ConfigError, FileFormatError
 # m; caps every length in a config, far above any room a mobile base plans in
 MAX_LENGTH = 100.0
 
-_EXPECTED = {float: "a finite number", int: "an integer", str: "a string",
-             dict: "an object"}
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string"}
 
 
 def bounded(default=dataclasses.MISSING, *, gt=None, ge=None, le=None):
@@ -53,27 +57,34 @@ class JsonCodec:
     """Mixin for dataclasses that read and write plain JSON values."""
 
     def __post_init__(self):
-        for name, gt, ge, le in _bounded_fields(type(self)):
-            value = getattr(self, name)
-            if isinstance(value, (tuple, list)):
+        for f in _schema(type(self)):
+            value = getattr(self, f.name)
+            if f.bounds and isinstance(value, (tuple, list)):
                 for i, item in enumerate(value):
-                    _check_range(f"{name}[{i}]", item, gt, ge, le)
-            else:
-                _check_range(name, value, gt, ge, le)
+                    _check_range(f"{f.name}[{i}]", item, *f.bounds)
+            elif f.bounds:
+                _check_range(f.name, value, *f.bounds)
 
     def to_dict(self) -> dict:
-        return {f.name: _encode(getattr(self, f.name))
-                for f in dataclasses.fields(self)}
+        return {f.key: _encode(getattr(self, f.name)) for f in _schema(type(self))}
 
     @classmethod
     def from_dict(cls, d: dict):
         return _decode_object(cls, d, "")
 
 
+# one field of a codec class; `key` is its JSON key
+_Field = collections.namedtuple("_Field", "name key hint required bounds")
+
+
 @functools.cache
-def _bounded_fields(cls) -> tuple:
-    return tuple((f.name, *f.metadata["bounds"]) for f in dataclasses.fields(cls)
-                 if "bounds" in f.metadata)
+def _schema(cls) -> tuple[_Field, ...]:
+    # resolved once per class: type hints cost far more than a small decode
+    hints = typing.get_type_hints(cls)
+    return tuple(_Field(f.name, f.name.removesuffix("_"), hints[f.name],
+                        f.default is f.default_factory is dataclasses.MISSING,
+                        f.metadata.get("bounds"))
+                 for f in dataclasses.fields(cls))
 
 
 def _check_range(name: str, value, gt, ge, le) -> None:
@@ -87,10 +98,21 @@ def _check_range(name: str, value, gt, ge, le) -> None:
         raise ConfigError(f"{name} must be <= {le}, got {value}")
 
 
+def read_json(path, cls, what: str, list_key: str | None = None):
+    """Read the JSON file at `path` as the codec class `cls`; with
+    `list_key`, a file holding a bare list reads as ``{list_key: list}``.
+    Every failure is a FileFormatError naming the file."""
+    raw = read_json_object(path, what, or_list=list_key is not None)
+    try:
+        return cls.from_dict({list_key: raw} if isinstance(raw, list) else raw)
+    except ConfigError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def read_json_object(path, what: str, or_list: bool = False) -> dict | list:
     """Parse the JSON file at `path`, which must hold one object (or, with
     `or_list`, one list). Every failure is a FileFormatError naming the
-    file; callers check the values inside with `decode_value`."""
+    file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -117,7 +139,8 @@ def _plain(value):
     if isinstance(value, np.generic):
         return value.item()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return {f.name.removesuffix("_"): getattr(value, f.name)
+                for f in dataclasses.fields(value)}
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -136,18 +159,16 @@ def _error(path: str, message: str) -> ConfigError:
 def _decode_object(cls, d, path: str):
     if not isinstance(d, dict):
         raise _error(path, f"expected an object, got {d!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(fields)
+    schema = _schema(cls)
+    unknown = d.keys() - {f.key for f in schema}
     if unknown:
         raise _error(path, f"unknown keys {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for name, f in fields.items():
-        key = f"{path}.{name}" if path else name
-        if name in d:
-            kwargs[name] = decode_value(hints[name], d[name], key)
-        elif (f.default is dataclasses.MISSING
-              and f.default_factory is dataclasses.MISSING):
+    for f in schema:
+        key = f"{path}.{f.key}" if path else f.key
+        if f.key in d:
+            kwargs[f.name] = decode_value(f.hint, d[f.key], key)
+        elif f.required:
             raise _error(key, "missing required key")
     try:
         return cls(**kwargs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import MAX_LENGTH, JsonCodec, bounded, read_json_object
+from .codec import MAX_LENGTH, JsonCodec, bounded, read_json
 from .drawer import DrawerConfig
 from .errors import ConfigError
 from .geometry import CameraIntrinsics
@@ -107,4 +107,4 @@ class RunConfig(JsonCodec):
 
 def load_run_config(path) -> RunConfig:
     """Read a RunConfig from a JSON file; missing sections use defaults."""
-    return RunConfig.from_dict(read_json_object(path, "config"))
+    return read_json(path, RunConfig, "config")

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import MAX_LENGTH, JsonCodec, bounded, decode_value, read_json_object, to_json
+from .codec import MAX_LENGTH, JsonCodec, bounded, read_json, to_json
 from .errors import (ConfigError, DegenerateBBoxError, DegenerateInputError,
                      FileFormatError, GraspNavError, InvalidAxisError,
                      MissingDepthError, NoPlaneFoundError)
@@ -70,10 +70,6 @@ class Detection2D:
                 f"class must be one of {_CLASSES}, got {self.class_label!r}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-
-    def to_dict(self) -> dict:
-        return {"class": self.class_label, "bbox": self.bbox.as_list(),
-                "confidence": self.confidence}
 
 
 @dataclass
@@ -487,57 +483,56 @@ def refine_target(initial: DrawerTarget, close_frame: DetectionFrame,
 # Frame I/O
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _DetectionRecord(JsonCodec):
+    class_: str
+    bbox: tuple[float, float, float, float]
+    confidence: float
+
+
+@dataclass(frozen=True)
+class _FrameFile(JsonCodec):
+    intrinsics: CameraIntrinsics
+    cam_pose: tuple[(float,) * 16]     # row-major world <- camera
+    depth_file: str
+    detections: tuple[_DetectionRecord, ...]
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        # checked before any box is decoded, so an oversized file costs no decode
+        n = len(d["detections"]) if isinstance(d.get("detections"), list) else 0
+        if n > MAX_DETECTIONS:
+            raise ConfigError(f"{n} detections, above the cap of"
+                              f" {MAX_DETECTIONS} per frame")
+        return super().from_dict(d)
+
+
 def load_detection_frame(path: str | Path) -> DetectionFrame:
     """Read a detection frame: JSON metadata plus a raw float32 depth file.
 
     The depth file is named by a bare file name in the JSON file's directory;
     a name with a directory part is rejected. Depth is row-major little-endian
     float32, one value per pixel, 0 where invalid; every value must be finite.
-    `detections` holds at most `MAX_DETECTIONS` entries. `cam_pose`, `bbox`
-    and `confidence` take finite JSON numbers only and `class` a string, as
-    run-config fields do.
+    `_FrameFile` declares the keys; `detections` holds at most `MAX_DETECTIONS`.
     """
     path = Path(path)
-    raw = read_json_object(path, "detection frame")
-    for key in ("intrinsics", "cam_pose", "depth_file", "detections"):
-        if key not in raw:
-            raise FileFormatError(f"{path}: missing required key {key!r}")
-    if not isinstance(raw["detections"], list):
-        raise FileFormatError(f"{path}: detections must be a list")
-    if len(raw["detections"]) > MAX_DETECTIONS:
-        raise FileFormatError(f"{path}: {len(raw['detections'])} detections, above "
-                              f"the cap of {MAX_DETECTIONS} per frame")
-    depth_name = raw["depth_file"]
-    if not isinstance(depth_name, str) or not depth_name:
-        raise FileFormatError(f"{path}: depth_file must be a non-empty string")
-    if Path(depth_name).parent != Path("."):
+    doc = read_json(path, _FrameFile, "detection frame")
+    depth_name = doc.depth_file
+    if not depth_name or Path(depth_name).parent != Path("."):
         raise FileFormatError(
             f"{path}: depth_file must be a bare file name, got {depth_name!r}")
     try:
-        intrinsics = CameraIntrinsics.from_dict(raw["intrinsics"])
-    except ConfigError as exc:
-        raise FileFormatError(f"{path}: bad intrinsics: {exc}") from exc
-    try:
-        pose_values = decode_value(tuple[float, ...], raw["cam_pose"], "cam_pose")
-        if len(pose_values) != 16:
-            raise ValueError(f"expected 16 row-major values, got {len(pose_values)}")
-        cam_pose = Pose.from_matrix(np.array(pose_values).reshape(4, 4))
+        cam_pose = Pose.from_matrix(np.reshape(doc.cam_pose, (4, 4)))
     except (ValueError, GraspNavError) as exc:
-        raise FileFormatError(f"{path}: bad cam_pose: {exc}") from exc
+        raise FileFormatError(f"{path}: cam_pose: {exc}") from exc
     detections = []
-    for i, entry in enumerate(raw["detections"]):
+    for i, rec in enumerate(doc.detections):
         try:
-            bbox = BBox2D(*decode_value(tuple[float, float, float, float],
-                                        entry["bbox"], "bbox"))
-            det = Detection2D(
-                class_label=decode_value(str, entry["class"], "class"), bbox=bbox,
-                confidence=decode_value(float, entry["confidence"], "confidence"))
-        except KeyError as exc:
-            raise FileFormatError(
-                f"{path}: detection {i}: missing required key {exc}") from exc
-        except (TypeError, ValueError, ConfigError) as exc:
-            raise FileFormatError(f"{path}: detection {i}: {exc}") from exc
-        detections.append(det)
+            detections.append(
+                Detection2D(rec.class_, BBox2D(*rec.bbox), rec.confidence))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: detections[{i}]: {exc}") from exc
+    intrinsics = doc.intrinsics
     depth_path = path.parent / depth_name
     if not depth_path.is_file():
         raise FileFormatError(f"{path}: depth file not found: {depth_name}")
@@ -562,10 +557,10 @@ def write_detection_frame(path: str | Path, frame: DetectionFrame,
     path = Path(path)
     if depth_file is None:
         depth_file = path.stem + ".depth.bin"
-    text = to_json({"intrinsics": frame.intrinsics,
-                    "cam_pose": frame.cam_pose.matrix().reshape(-1),
-                    "depth_file": depth_file,
-                    "detections": [d.to_dict() for d in frame.detections]},
-                   indent=2)
+    records = tuple(_DetectionRecord(d.class_label, tuple(d.bbox.as_list()),
+                                     d.confidence) for d in frame.detections)
+    text = to_json(_FrameFile(frame.intrinsics,
+                              tuple(frame.cam_pose.matrix().reshape(-1).tolist()),
+                              depth_file, records), indent=2)
     frame.depth.astype("<f4").tofile(path.parent / depth_file)
     path.write_text(text)

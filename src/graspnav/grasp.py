@@ -21,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import JsonCodec, bounded, decode_value, read_json_object
-from .errors import (ConfigError, DegenerateInputError, FileFormatError,
-                     InvalidRotationError)
+from .codec import JsonCodec, bounded, read_json
+from .errors import DegenerateInputError, FileFormatError, InvalidRotationError
 from .geometry import PointIndex, Pose, rotation_about_z
 
 DEFAULT_ON_OBJECT_TOL = 0.02
@@ -87,35 +86,32 @@ def sweep_rotations(count: int) -> list[np.ndarray]:
 _MATRIX = tuple[(float,) * 9]
 
 
+@dataclass(frozen=True)
+class _CandidateRecord(JsonCodec):
+    rotation: _MATRIX
+    translation: tuple[float, float, float]
+    width: float
+    score: float
+
+
+@dataclass(frozen=True)
+class _BatchFile(JsonCodec):
+    rotation: _MATRIX
+    candidates: tuple[_CandidateRecord, ...]
+
+
 def load_grasp_batch(path: str) -> GraspBatch:
     """Parse one grasp batch file; candidates stay in the rotated frame."""
-    doc = read_json_object(path, "grasp batch")
-    try:
-        rotation = np.reshape(decode_value(_MATRIX, doc["rotation"], "rotation"),
-                              (3, 3))
-        records = decode_value(tuple[dict, ...], doc["candidates"], "candidates")
-    except KeyError as exc:
-        raise FileFormatError(
-            f"{path}: malformed grasp batch: missing required key {exc}") from exc
-    except ConfigError as exc:
-        raise FileFormatError(f"{path}: malformed grasp batch: {exc}") from exc
+    doc = read_json(path, _BatchFile, "grasp batch")
     candidates = []
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(doc.candidates):
         try:
-            pose = Pose(
-                np.reshape(decode_value(_MATRIX, rec["rotation"], "rotation"),
-                           (3, 3)),
-                np.array(decode_value(tuple[float, float, float],
-                                      rec["translation"], "translation")))
-            candidates.append(GraspCandidate(
-                pose=pose, width=decode_value(float, rec["width"], "width"),
-                score=decode_value(float, rec["score"], "score")))
-        except KeyError as exc:
-            raise FileFormatError(
-                f"{path}: candidate {i}: missing required key {exc}") from exc
-        except (ConfigError, ValueError, InvalidRotationError) as exc:
-            raise FileFormatError(f"{path}: candidate {i}: {exc}") from exc
-    return GraspBatch(rotation=rotation, candidates=candidates)
+            pose = Pose(np.reshape(rec.rotation, (3, 3)), np.array(rec.translation))
+            candidates.append(GraspCandidate(pose=pose, width=rec.width,
+                                             score=rec.score))
+        except (ValueError, InvalidRotationError) as exc:
+            raise FileFormatError(f"{path}: candidates[{i}]: {exc}") from exc
+    return GraspBatch(np.reshape(doc.rotation, (3, 3)), candidates)
 
 
 def merge_rotation_sweeps(

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import decode_value, read_json_object, to_json
+from .codec import JsonCodec, bounded, read_json, to_json
 from .errors import (
-    ConfigError,
     EmptySceneError,
     FileFormatError,
     InstanceNotFoundError,
@@ -375,77 +374,65 @@ class PointCloudScene:
 # Instances file I/O and scene loading
 # ---------------------------------------------------------------------------
 
-def _parse_instance(record: dict, n_points: int, dim: int,
-                    claimed: np.ndarray, path: str) -> InstanceMask:
-    try:
-        inst_id = decode_value(int, record["id"], "id")
-        label = decode_value(str, record["label"], "label")
-        confidence = decode_value(float, record["confidence"], "confidence")
-        indices = np.array(decode_value(tuple[int, ...], record["point_indices"],
-                                        "point_indices"), dtype=np.int64)
-        embedding = decode_value(tuple[float, ...] | None,
-                                 record.get("embedding"), "embedding")
-    except KeyError as exc:
-        raise FileFormatError(f"{path}: malformed instance record:"
-                              f" missing required key {exc}") from exc
-    except ConfigError as exc:
-        raise FileFormatError(f"{path}: malformed instance record: {exc}") from exc
-    except OverflowError:       # an integer index that int64 cannot hold
-        raise FileFormatError(f"{path}: point_indices exceed int64") from None
-    if not 0.0 <= confidence <= 1.0:
-        raise FileFormatError(
-            f"{path}: instance {inst_id} confidence {confidence} outside [0, 1]")
-    if indices.size == 0:
-        raise FileFormatError(f"{path}: instance {inst_id} has no points")
-    if indices.min() < 0 or indices.max() >= n_points:
-        raise FileFormatError(
-            f"{path}: instance {inst_id} references point index "
-            f"{int(indices.max())} outside [0, {n_points})")
-    overlap = claimed[indices]
-    if overlap.any():
-        clash = int(indices[np.argmax(overlap)])
-        raise FileFormatError(
-            f"{path}: instance {inst_id} overlaps a previous instance at "
-            f"point index {clash}")
-    claimed[indices] = True
-    if embedding is not None:
-        embedding = np.array(embedding)
-        if embedding.shape != (dim,):
-            raise FileFormatError(
-                f"{path}: instance {inst_id} embedding has {embedding.size} "
-                f"values, header declares {dim}")
-        with np.errstate(over="ignore"):    # a huge component gives norm inf
-            norm = float(np.linalg.norm(embedding))
-        if not abs(norm - 1.0) <= EMBEDDING_NORM_TOL:
-            raise FileFormatError(
-                f"{path}: instance {inst_id} embedding norm {norm} is not 1")
-    return InstanceMask(id=inst_id, label=label, point_indices=indices,
-                        embedding=embedding, confidence=confidence)
+@dataclass(frozen=True)
+class _InstanceRecord(JsonCodec):
+    id: int
+    label: str
+    confidence: float = bounded(ge=0, le=1)
+    # no `bounded`: it would check each of up to n_points items in Python
+    point_indices: tuple[int, ...]
+    embedding: tuple[float, ...] | None = None
+
+
+@dataclass(frozen=True)
+class _InstancesFile(JsonCodec):
+    instances: tuple[_InstanceRecord, ...]
+    embedding_dim: int = bounded(DEFAULT_EMBEDDING_DIM, gt=0)
 
 
 def read_instances(path: str, n_points: int) -> tuple[list[InstanceMask], int]:
-    doc = read_json_object(path, "instances file")
-    if not isinstance(doc.get("instances"), list):
-        raise FileFormatError(f"{path}: expected an object with an 'instances' list")
-    try:
-        dim = decode_value(int, doc.get("embedding_dim", DEFAULT_EMBEDDING_DIM),
-                           "embedding_dim")
-        records = decode_value(tuple[dict, ...], doc["instances"], "instances")
-    except ConfigError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    if dim <= 0:
-        raise FileFormatError(
-            f"{path}: embedding_dim must be a positive integer, got {dim!r}")
+    doc = read_json(path, _InstancesFile, "instances file")
     claimed = np.zeros(n_points, dtype=bool)
     instances = []
     seen_ids: set[int] = set()
-    for record in records:
-        inst = _parse_instance(record, n_points, dim, claimed, path)
-        if inst.id in seen_ids:
-            raise FileFormatError(f"{path}: duplicate instance id {inst.id}")
-        seen_ids.add(inst.id)
-        instances.append(inst)
-    return instances, dim
+    for record in doc.instances:
+        inst_id = record.id
+        try:
+            indices = np.array(record.point_indices, dtype=np.int64)
+        except OverflowError:       # an integer index that int64 cannot hold
+            raise FileFormatError(f"{path}: point_indices exceed int64") from None
+        if indices.size == 0:
+            raise FileFormatError(f"{path}: instance {inst_id} has no points")
+        if indices.min() < 0 or indices.max() >= n_points:
+            raise FileFormatError(
+                f"{path}: instance {inst_id} references point index "
+                f"{int(indices.max())} outside [0, {n_points})")
+        overlap = claimed[indices]
+        if overlap.any():
+            clash = int(indices[np.argmax(overlap)])
+            raise FileFormatError(
+                f"{path}: instance {inst_id} overlaps a previous instance at "
+                f"point index {clash}")
+        claimed[indices] = True
+        embedding = record.embedding
+        if embedding is not None:
+            embedding = np.array(embedding)
+            if embedding.shape != (doc.embedding_dim,):
+                raise FileFormatError(
+                    f"{path}: instance {inst_id} embedding has {embedding.size} "
+                    f"values, header declares {doc.embedding_dim}")
+            with np.errstate(over="ignore"):    # a huge component gives norm inf
+                norm = float(np.linalg.norm(embedding))
+            if not abs(norm - 1.0) <= EMBEDDING_NORM_TOL:
+                raise FileFormatError(
+                    f"{path}: instance {inst_id} embedding norm {norm} is not 1")
+        if inst_id in seen_ids:
+            raise FileFormatError(f"{path}: duplicate instance id {inst_id}")
+        seen_ids.add(inst_id)
+        instances.append(InstanceMask(
+            id=inst_id, label=record.label, point_indices=indices,
+            embedding=embedding, confidence=record.confidence))
+    return instances, doc.embedding_dim
 
 
 def write_instances(path: str, instances: list[InstanceMask], embedding_dim: int) -> None:

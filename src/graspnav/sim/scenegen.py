@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..codec import JsonCodec, bounded, read_json_object
+from ..codec import JsonCodec, bounded, read_json
 from ..errors import ConfigError, GenerationError
 from ..scene import InstanceMask, PointCloudScene
 from .primitives import Box, Cylinder, aabbs_overlap, stratified_rect
@@ -138,7 +138,7 @@ class SceneSpec(JsonCodec):
 
 
 def load_scene_spec(path: str | Path) -> SceneSpec:
-    return SceneSpec.from_dict(read_json_object(path, "scene spec"))
+    return read_json(path, SceneSpec, "scene spec")
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ class TestMatchDrawers:
         rc = main(["match-drawers", "--frames", str(tmp_path / "frame.json"),
                    "--out", str(out)])
         assert rc == EXIT_PARSE
-        assert "detection 0: bbox[0]: expected a finite number" in capsys.readouterr().err
+        assert "detections[0].bbox[0]: expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeat_runs_byte_identical(self, workdir, tmp_path):
@@ -437,30 +437,30 @@ BOUNDARY_PROBES = [
     ("grasps", {"rotation": [_NAN] + _IDENTITY[1:], "candidates": []},
      "rotation"),
     ("grasps", _batch_with(rotation=[_NAN] + _IDENTITY[1:]),
-     "candidate 0: rotation"),
+     "candidates[0].rotation"),
     ("grasps", _batch_with(translation=[0.1, _NAN, 0.3]),
-     "candidate 0: translation"),
-    ("grasps", _batch_with(width=_NAN), "candidate 0: width"),
-    ("grasps", _batch_with(score=float("inf")), "candidate 0: score"),
-    ("instances", {"embedding_dim": 4, "instances": 5}, "'instances' list"),
+     "candidates[0].translation"),
+    ("grasps", _batch_with(width=_NAN), "candidates[0].width"),
+    ("grasps", _batch_with(score=float("inf")), "candidates[0].score"),
+    ("instances", {"embedding_dim": 4, "instances": 5}, "instances: expected a list"),
     ("instances", {"embedding_dim": 2.7, "instances": []}, "embedding_dim"),
     ("instances", {"embedding_dim": _NAN, "instances": []}, "embedding_dim"),
     ("instances", {"embedding_dim": [1], "instances": []}, "embedding_dim"),
     ("frames", 5, "must hold a JSON object"),
-    ("frames", {**_FRAME, "detections": 5}, "detections must be a list"),
-    ("frames", {**_FRAME, "depth_file": 5}, "depth_file must be"),
-    ("query", [{"a": 1}, 2], "flat JSON list of numbers"),
-    ("query", [False, True, False], "flat JSON list of numbers"),
-    ("query", ["0", "1", "0"], "flat JSON list of numbers"),
-    ("query", [[0.0, 1.0, 0.0]], "flat JSON list of numbers"),
-    ("query", {"embedding": [[0.0], [1.0], [0.0]]}, "flat JSON list of numbers"),
-    ("query", [10 ** 400, 0, 0], "flat JSON list of numbers"),
-    ("query", {"embedding": []}, "flat JSON list of numbers"),
+    ("frames", {**_FRAME, "detections": 5}, "detections: expected a list"),
+    ("frames", {**_FRAME, "depth_file": 5}, "depth_file: expected a string"),
+    ("query", [{"a": 1}, 2], "embedding[0]: expected a finite number"),
+    ("query", [False, True, False], "embedding[0]: expected a finite number"),
+    ("query", ["0", "1", "0"], "embedding[0]: expected a finite number"),
+    ("query", [[0.0, 1.0, 0.0]], "embedding[0]: expected a finite number"),
+    ("query", {"embedding": [[0.0], [1.0], [0.0]]}, "embedding[0]: expected a finite number"),
+    ("query", [10 ** 400, 0, 0], "embedding[0]: expected a finite number"),
+    ("query", {"embedding": []}, "embedding: expected at least one value"),
     # test ids carry the row index, so new rows go at the end
-    ("grasps", _batch_with(width="0.04"), "candidate 0: width"),
-    ("grasps", _batch_with(score=True), "candidate 0: score"),
+    ("grasps", _batch_with(width="0.04"), "candidates[0].width"),
+    ("grasps", _batch_with(score=True), "candidates[0].score"),
     ("grasps", _batch_with(translation=["0.1", "0.2", "0.3"]),
-     "candidate 0: translation[0]"),
+     "candidates[0].translation[0]"),
     ("instances", _instances_with(id=3.7), "id: expected an integer"),
     ("instances", _instances_with(id="3"), "id: expected an integer"),
     ("instances", _instances_with(label=5), "label: expected a string"),
@@ -481,19 +481,28 @@ BOUNDARY_PROBES = [
     ("frames", b"{\"cam_pose\": \"\xff\"}", "frames.json"),
     ("grasps", {"rotation": _IDENTITY, "candidates": [
         {k: v for k, v in _CANDIDATE.items() if k != "width"}]},
-     "candidate 0: missing required key 'width'"),
+     "candidates[0].width: missing required key"),
     ("instances", {"embedding_dim": 2,
                    "instances": [{"label": "mug", "confidence": 0.9,
                                   "point_indices": [0, 1]}]},
-     "malformed instance record: missing required key 'id'"),
+     "instances[0].id: missing required key"),
     ("frames", {**_FRAME, "detections": [{"class": "handle",
                                           "confidence": 0.9}]},
-     "detection 0: missing required key 'bbox'"),
+     "detections[0].bbox: missing required key"),
+    # every input file rejects unknown keys, and every rejection names its file
+    ("instances", {**_instances_with(), "units": "m"}, "unknown keys ['units']"),
+    ("grasps", _batch_with(colour="red"), "candidates[0]: unknown keys ['colour']"),
+    ("frames", {**_FRAME, "camera": "rgb"}, "unknown keys ['camera']"),
+    ("query", {"embedding": [0.0, 1.0, 0.0], "norm": 1.0},
+     "unknown keys ['norm']"),
+    ("config", {"nav": {"footprint_radius": "0.3"}},
+     "config.json: nav.footprint_radius"),
+    ("spec", {"objects": 5}, "spec.json: objects"),
 ]
 
 
 class TestBoundaryProbes:
-    """Malformed input files exit 1 with the offending key named."""
+    """Malformed input files exit 1 naming the file and the offending key."""
 
     @pytest.mark.parametrize(
         "kind, doc, needle", BOUNDARY_PROBES,
@@ -522,6 +531,7 @@ class TestBoundaryProbes:
         assert main(argv) == EXIT_PARSE
         err = capsys.readouterr().err
         assert needle in err and "Traceback" not in err
+        assert str(path) in err
         assert not out.exists()
 
 

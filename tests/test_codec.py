@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspnav.cli import _load_query_embedding
-from graspnav.codec import decode_value, read_json_object, to_json
+from graspnav.codec import JsonCodec, decode_value, read_json_object, to_json
 from graspnav.config import RunConfig
 from graspnav.drawer import DrawerConfig, load_detection_frame
 from graspnav.errors import ConfigError, FileFormatError, GraspNavError
@@ -248,6 +248,30 @@ class TestToJson:
     @pytest.mark.parametrize("value", [RunConfig(), default_search_spec()])
     def test_codec_dataclasses_match_to_dict(self, value):
         assert to_json(value) == json.dumps(value.to_dict(), sort_keys=True) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Labelled(JsonCodec):
+    class_: str
+    score: float = 0.5
+
+
+class TestTrailingUnderscoreKey:
+    """A field named `class_` is the JSON key "class" both ways."""
+
+    def test_reads_the_key_without_the_underscore(self):
+        assert _Labelled.from_dict({"class": "handle"}).class_ == "handle"
+        with pytest.raises(ConfigError, match=r"^class: missing required key$"):
+            _Labelled.from_dict({})
+
+    def test_the_underscored_key_is_unknown(self):
+        with pytest.raises(ConfigError, match=r"unknown keys \['class_'\]"):
+            _Labelled.from_dict({"class_": "handle"})
+
+    def test_writes_the_key_without_the_underscore(self):
+        value = _Labelled("drawer", 0.75)
+        assert value.to_dict() == {"class": "drawer", "score": 0.75}
+        assert to_json(value) == '{"class": "drawer", "score": 0.75}\n'
 
 
 # ---------------------------------------------------------------------------

@@ -619,15 +619,15 @@ class TestFrameIO:
         doc = json.loads(path.read_text())
         doc["detections"][0]["class"] = "cabinet"
         path.write_text(json.dumps(doc))
-        with pytest.raises(FileFormatError, match="detection 0"):
+        with pytest.raises(FileFormatError, match=r"detections\[0\]: class"):
             load_detection_frame(path)
 
     @pytest.mark.parametrize("key, index, value, needle", [
-        ("bbox", 0, "28", r"detection 0: bbox\[0\]"),
-        ("bbox", 3, True, r"detection 0: bbox\[3\]"),
-        ("bbox", 2, float("nan"), r"detection 0: bbox\[2\]"),
-        ("confidence", None, True, "detection 0: confidence"),
-        ("confidence", None, "0.75", "detection 0: confidence"),
+        ("bbox", 0, "28", r"detections\[0\]\.bbox\[0\]"),
+        ("bbox", 3, True, r"detections\[0\]\.bbox\[3\]"),
+        ("bbox", 2, float("nan"), r"detections\[0\]\.bbox\[2\]"),
+        ("confidence", None, True, r"detections\[0\]\.confidence"),
+        ("confidence", None, "0.75", r"detections\[0\]\.confidence"),
         ("cam_pose", 3, "0.5", r"cam_pose\[3\]"),
         ("cam_pose", 15, True, r"cam_pose\[15\]"),
     ])

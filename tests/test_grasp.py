@@ -169,7 +169,7 @@ class TestBatchFile:
         }
         path = tmp_path / "batch.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(FileFormatError, match="candidate 0"):
+        with pytest.raises(FileFormatError, match=r"candidates\[0\]"):
             load_grasp_batch(str(path))
 
     def test_not_json(self, tmp_path):

@@ -466,7 +466,7 @@ class TestDetectBoxes:
         noise = NoiseModel()
         a = detect_boxes(self.synth.cabinet, self.intr, pose, noise, seed=4)
         b = detect_boxes(self.synth.cabinet, self.intr, pose, noise, seed=4)
-        assert [d.to_dict() for d in a] == [d.to_dict() for d in b]
+        assert a == b
 
 
 class TestSceneGen:
