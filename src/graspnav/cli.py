@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -35,9 +36,8 @@ from .pipeline import (EXIT_GRASP_FILTER, EXIT_LOCALIZATION, EXIT_NAVIGATION,
                        EXIT_NO_EMBEDDINGS, EXIT_OK, EXIT_PARSE, STAGE_ERRORS,
                        perceive_drawers, plan_grasp)
 from .scene import load_scene
-from .sim import derive_seed, run_grasp_batch, run_search_batch
-from .sim.scenegen import (default_grasp_spec, default_search_spec,
-                           load_scene_spec)
+from .sim import batch_spec, derive_seed, run_batch, summarize
+from .sim.scenegen import load_scene_spec
 
 MAX_EPISODES = 100_000
 
@@ -184,26 +184,35 @@ def cmd_match_drawers(args) -> int:
     return EXIT_OK
 
 
+def _written(reports, stream):
+    """Pass reports through, writing each one's NDJSON line to `stream`."""
+    for report in reports:
+        stream.write(to_json(report))
+        yield report
+
+
 def cmd_simulate(args) -> int:
     config = _resolve_config(args.config)
-    if args.spec:
-        spec = load_scene_spec(args.spec)
-    else:
-        spec = (default_grasp_spec() if args.task == "grasp"
-                else default_search_spec())
-    run_batch = run_grasp_batch if args.task == "grasp" else run_search_batch
-    reports, summary = run_batch(args.episodes, args.seed, spec=spec,
-                                 config=config)
-
+    spec = batch_spec(args.task, load_scene_spec(args.spec) if args.spec else None)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    episodes_path = out_dir / "episodes.ndjson"
-    episodes_path.write_text("".join(map(to_json, reports)), encoding="utf-8")
-    summary_doc = {"command": "simulate", "task": args.task,
-                   "seed": args.seed, "spec": spec, "config": config,
-                   **summary}
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(to_json(summary_doc, indent=2), encoding="utf-8")
+    episodes_path, summary_path = out_dir / "episodes.ndjson", out_dir / "summary.json"
+    # lines stream into a temporary file in the nearest existing directory
+    # and are renamed into place once the batch and its summary succeed, so
+    # a failed run leaves no file and no new directory
+    home = next((p for p in (out_dir, *out_dir.parents) if p.is_dir()), out_dir)
+    tmp = home / f".episodes.ndjson.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as stream:
+            summary = summarize(_written(run_batch(
+                args.task, args.episodes, args.seed, spec, config), stream))
+        summary_text = to_json({"command": "simulate", "task": args.task,
+                                "seed": args.seed, "spec": spec,
+                                "config": config, **summary}, indent=2)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        os.replace(tmp, episodes_path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    summary_path.write_text(summary_text, encoding="utf-8")
     print(f"{args.task} batch: {summary['successes']}/{summary['episodes']}"
           f" succeeded (rate {summary['success_rate']:.3f})")
     print(f"wrote {episodes_path} and {summary_path}")

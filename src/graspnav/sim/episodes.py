@@ -19,7 +19,9 @@ loop run through ``graspnav.pipeline``, the same code as the command line.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -73,21 +75,21 @@ class EpisodeReport:
     details: dict
 
     def failure_stage(self) -> str | None:
-        for stage in self.stages:
-            if stage.status == "fail":
-                return stage.name
-        return None
+        return next((s.name for s in self.stages if s.status == "fail"), None)
 
 
-def _stages(failed: str | None, reason: str | None) -> list[StageOutcome]:
-    """Stages before `failed` pass, `failed` fails with `reason`, and later
-    ones are not reached; every stage passes when `failed` is None."""
-    if failed is None:
-        return [StageOutcome(name, "pass") for name in STAGES]
-    at = STAGES.index(failed)
-    return ([StageOutcome(name, "pass") for name in STAGES[:at]]
-            + [StageOutcome(failed, "fail", reason)]
-            + [StageOutcome(name) for name in STAGES[at + 1:]])
+def _report(task: str, index: int, seed: int, query: str, tier: str | None,
+            details: dict, failed: str | None = None,
+            reason: str | None = None) -> EpisodeReport:
+    """An episode's report: stages before `failed` pass, `failed` fails with
+    `reason`, and later ones are not reached; all pass when `failed` is None."""
+    at = len(STAGES) if failed is None else STAGES.index(failed)
+    stages = [StageOutcome(name, "pass") for name in STAGES[:at]]
+    if failed is not None:
+        stages.append(StageOutcome(failed, "fail", reason))
+        stages += [StageOutcome(name) for name in STAGES[at + 1:]]
+    return EpisodeReport(task, index, seed, query, tier, stages,
+                         failed is None, details)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +158,8 @@ def run_grasp_episode(synth: SyntheticScene, target: PlacedObject,
     scene = synth.scene
     details: dict = {}
     rng = np.random.default_rng(seed)
-
-    def report(failed: str | None = None,
-               reason: str | None = None) -> EpisodeReport:
-        return EpisodeReport(task=GRASP_TASK, index=index, seed=seed,
-                             query=target.label, tier=target.tier,
-                             stages=_stages(failed, reason),
-                             success=failed is None, details=details)
+    report = partial(_report, GRASP_TASK, index, seed, target.label,
+                     target.tier, details)
 
     # localization: embedding query must rank the target instance first
     code = synth.label_codes[target.label]
@@ -230,13 +227,7 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
     scene = synth.scene
     details: dict = {}
     intr = sim.intrinsics
-
-    def report(failed: str | None = None,
-               reason: str | None = None) -> EpisodeReport:
-        return EpisodeReport(task=SEARCH_TASK, index=index, seed=seed,
-                             query="cabinet", tier=None,
-                             stages=_stages(failed, reason),
-                             success=failed is None, details=details)
+    report = partial(_report, SEARCH_TASK, index, seed, "cabinet", None, details)
 
     # localization: the cabinet instance must rank first for its label code
     results = scene.query_instance(synth.label_codes["cabinet"])
@@ -329,18 +320,25 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
 # Batches
 # ---------------------------------------------------------------------------
 
-def summarize(reports: list[EpisodeReport]) -> dict:
-    """Batch roll-up: success rate with a 95% interval, stage failure
-    counts that conserve episodes, and per-tier rates where tiers apply."""
-    n = len(reports)
-    successes = sum(1 for r in reports if r.success)
-    rate = successes / n if n else 0.0
-    half = 1.96 * math.sqrt(rate * (1.0 - rate) / n) if n else 0.0
+def summarize(reports: Iterable[EpisodeReport]) -> dict:
+    """Batch roll-up in one pass over any iterable of reports: success rate
+    with a 95% Wald interval, stage failure counts that conserve episodes,
+    and per-tier rates, tiers sorted, where tiers apply."""
+    n = successes = 0
     failures = {stage: 0 for stage in STAGES}
+    tiers: dict[str, list[int]] = {}     # tier -> [episodes, successes]
     for r in reports:
+        n += 1
+        successes += bool(r.success)
         stage = r.failure_stage()
         if stage is not None:
             failures[stage] += 1
+        if r.tier is not None:
+            row = tiers.setdefault(r.tier, [0, 0])
+            row[0] += 1
+            row[1] += bool(r.success)
+    rate = successes / n if n else 0.0
+    half = 1.96 * math.sqrt(rate * (1.0 - rate) / n) if n else 0.0
     summary = {
         "episodes": n,
         "successes": successes,
@@ -349,47 +347,45 @@ def summarize(reports: list[EpisodeReport]) -> dict:
         "stage_failures": failures,
         "conserved": successes + sum(failures.values()) == n,
     }
-    tiers = sorted({r.tier for r in reports if r.tier is not None})
     if tiers:
-        per_tier = {}
-        for tier in tiers:
-            sub = [r for r in reports if r.tier == tier]
-            wins = sum(1 for r in sub if r.success)
-            per_tier[tier] = {"episodes": len(sub), "successes": wins,
-                              "success_rate": wins / len(sub)}
-        summary["per_tier"] = per_tier
+        summary["per_tier"] = {
+            tier: {"episodes": eps, "successes": wins, "success_rate": wins / eps}
+            for tier, (eps, wins) in sorted(tiers.items())}
     return summary
 
 
-def run_grasp_batch(n_episodes: int, base_seed: int,
-                    spec: SceneSpec | None = None,
-                    config: RunConfig = RunConfig(),
-                    ) -> tuple[list[EpisodeReport], dict]:
-    """Seeded grasp episodes cycling through the spec's objects."""
-    spec = spec or default_grasp_spec()
-    if not spec.objects:
+def batch_spec(task: str, spec: SceneSpec | None = None) -> SceneSpec:
+    """`spec`, or the task's built-in one; ValueError if it cannot host `task`."""
+    if task not in (GRASP_TASK, SEARCH_TASK):
+        raise ValueError(f"unknown task {task!r}")
+    spec = spec or (default_grasp_spec() if task == GRASP_TASK else default_search_spec())
+    if task == GRASP_TASK and not spec.objects:
         raise ValueError("grasp batches need at least one object in the spec")
-    reports = []
-    for i in range(n_episodes):
-        synth = generate_scene(spec, seed=derive_seed(base_seed, i, 0))
-        target = synth.objects[i % len(synth.objects)]
-        reports.append(run_grasp_episode(
-            synth, target, seed=derive_seed(base_seed, i, 1), index=i,
-            config=config))
-    return reports, summarize(reports)
-
-
-def run_search_batch(n_episodes: int, base_seed: int,
-                     spec: SceneSpec | None = None,
-                     config: RunConfig = RunConfig(),
-                     ) -> tuple[list[EpisodeReport], dict]:
-    """Seeded drawer-search episodes over regenerated scenes."""
-    spec = spec or default_search_spec()
-    if spec.cabinet is None:
+    if task == SEARCH_TASK and spec.cabinet is None:
         raise ValueError("search batches need a cabinet in the spec")
-    reports = []
-    for i in range(n_episodes):
-        synth = generate_scene(spec, seed=derive_seed(base_seed, i, 0))
-        reports.append(run_search_episode(
-            synth, seed=derive_seed(base_seed, i, 1), index=i, config=config))
-    return reports, summarize(reports)
+    return spec
+
+
+def run_batch(task: str, n_episodes: int, seed: int,
+              spec: SceneSpec | None = None,
+              config: RunConfig = RunConfig()) -> Iterator[EpisodeReport]:
+    """Seeded `task` episodes, yielded in index order as each one finishes.
+    The spec is checked at the call, before any episode runs, and nothing
+    is kept between episodes."""
+    spec = batch_spec(task, spec)
+    return (_batch_episode(task, i, seed, spec, config) for i in range(n_episodes))
+
+
+def _batch_episode(task: str, i: int, seed: int, spec: SceneSpec,
+                   config: RunConfig) -> EpisodeReport:
+    """Episode i: scene seed ``derive_seed(seed, i, 0)``, episode seed
+    ``derive_seed(seed, i, 1)``, grasp targets cycling through the objects.
+    The episode function is the module global at call time, so tracing
+    wrappers put in its place see every episode."""
+    synth = generate_scene(spec, seed=derive_seed(seed, i, 0))
+    if task == GRASP_TASK:
+        return run_grasp_episode(synth, synth.objects[i % len(synth.objects)],
+                                 seed=derive_seed(seed, i, 1), index=i,
+                                 config=config)
+    return run_search_episode(synth, seed=derive_seed(seed, i, 1), index=i,
+                              config=config)

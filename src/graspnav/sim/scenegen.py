@@ -411,8 +411,6 @@ def generate_scene(spec: SceneSpec, seed: int = 0) -> SyntheticScene:
 def default_grasp_spec() -> SceneSpec:
     """Three objects spanning the graspability tiers on an open floor."""
     return SceneSpec(
-        floor_extent=4.0,
-        density=DEFAULT_DENSITY,
         objects=(
             ObjectSpec(label="crate", shape="box", size=(0.30, 0.20, 0.25),
                        tier="easy"),
@@ -427,8 +425,6 @@ def default_grasp_spec() -> SceneSpec:
 def default_search_spec() -> SceneSpec:
     """A three-drawer cabinet with a couple of bystander objects."""
     return SceneSpec(
-        floor_extent=4.0,
-        density=DEFAULT_DENSITY,
         objects=(
             ObjectSpec(label="crate", shape="box", size=(0.30, 0.20, 0.25),
                        tier="easy"),

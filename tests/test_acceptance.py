@@ -24,7 +24,7 @@ from graspnav.geometry import (CameraIntrinsics, PointIndex, Pose, RansacParams,
 from graspnav.grasp import GraspCandidate
 from graspnav.nav import BodyCandidate
 from graspnav.optimizer import OptimizerWeights, align_score, select_best
-from graspnav.sim import NoiseModel, run_grasp_batch, run_search_batch
+from graspnav.sim import NoiseModel, run_batch, summarize
 
 from conftest import random_rotation, random_pose
 
@@ -262,7 +262,7 @@ def test_farthest_point_sampling_matches_greedy_oracle():
 
 def test_search_batch_reference_noise_success_band():
     t0 = time.perf_counter()
-    reports, summary = run_search_batch(200, base_seed=42)
+    summary = summarize(run_batch("search", 200, 42))
     elapsed = time.perf_counter() - t0
     assert summary["episodes"] == 200
     assert summary["success_rate"] >= 0.80, summary
@@ -270,13 +270,13 @@ def test_search_batch_reference_noise_success_band():
 
 
 def test_search_batch_noiseless_is_perfect():
-    reports, summary = run_search_batch(
-        200, base_seed=42, config=RunConfig(noise=NoiseModel.noiseless()))
+    summary = summarize(run_batch(
+        "search", 200, 42, config=RunConfig(noise=NoiseModel.noiseless())))
     assert summary["success_rate"] == 1.0, summary
 
 
 def test_grasp_batch_tier_difficulty_is_monotone():
-    reports, summary = run_grasp_batch(200, base_seed=42)
+    summary = summarize(run_batch("grasp", 200, 42))
     tiers = summary["per_tier"]
     rates, halves = {}, {}
     for name, row in tiers.items():
@@ -289,8 +289,8 @@ def test_grasp_batch_tier_difficulty_is_monotone():
 
 
 def test_grasp_batch_noiseless_easy_tier_is_perfect():
-    reports, summary = run_grasp_batch(
-        200, base_seed=42, config=RunConfig(noise=NoiseModel.noiseless()))
+    summary = summarize(run_batch(
+        "grasp", 200, 42, config=RunConfig(noise=NoiseModel.noiseless())))
     easy = summary["per_tier"]["easy"]
     assert easy["successes"] == easy["episodes"], summary["per_tier"]
 

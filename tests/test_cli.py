@@ -17,10 +17,12 @@ from graspnav.cli import (EXIT_GRASP_FILTER, EXIT_LOCALIZATION,
                           EXIT_NAVIGATION, EXIT_NO_EMBEDDINGS, EXIT_OK,
                           EXIT_PARSE, main)
 from graspnav.drawer import DetectionFrame, write_detection_frame
+from graspnav.errors import GenerationError
 from graspnav.geometry import CameraIntrinsics, look_at
 from graspnav.scene import save_scene, write_instances
 from graspnav.sim import (SimConfig, default_grasp_spec, default_search_spec,
                           detect_boxes, generate_scene, render_depth)
+from graspnav.sim import episodes
 from graspnav.sim.episodes import _approach_rotation
 
 
@@ -359,14 +361,17 @@ class TestSimulate:
 
     def test_nan_summary_exits_1_without_summary(self, tmp_path, capsys,
                                                  monkeypatch):
-        def nan_batch(n, seed, **kwargs):
-            return [], {"episodes": n, "successes": 0, "success_rate": math.nan}
-        monkeypatch.setattr(cli, "run_grasp_batch", nan_batch)
+        def nan_summary(reports):
+            n = sum(1 for _ in reports)
+            return {"episodes": n, "successes": 0, "success_rate": math.nan}
+        monkeypatch.setattr(cli, "summarize", nan_summary)
         out = tmp_path / "run"
         rc = main(["simulate", "--task", "grasp", "--episodes", "1",
                    "--out", str(out)])
         assert rc == EXIT_PARSE
         assert not (out / "summary.json").exists()
+        # the episode lines are not renamed into place either
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 1.42 PiB for an array"),
@@ -374,13 +379,38 @@ class TestSimulate:
         (MemoryError(), "graspnav: out of memory\n")])
     def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys,
                                                  monkeypatch, exc, line):
-        def exhausted(n, seed, **kwargs):
+        def exhausted(*args, **kwargs):
             raise exc
-        monkeypatch.setattr(cli, "run_grasp_batch", exhausted)
+        monkeypatch.setattr(episodes, "run_grasp_episode", exhausted)
         rc = main(["simulate", "--task", "grasp", "--episodes", "1",
                    "--out", str(tmp_path / "run")])
         assert rc == EXIT_PARSE
         assert capsys.readouterr().err == line
+
+    def test_failed_batch_leaves_nothing_behind(self, tmp_path, capsys,
+                                                monkeypatch):
+        real = episodes.run_grasp_episode
+
+        def fails_at_2(*args, **kwargs):
+            if kwargs["index"] == 2:
+                raise GenerationError("could not place object 'b'")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(episodes, "run_grasp_episode", fails_at_2)
+        out = tmp_path / "deep" / "run"
+        rc = main(["simulate", "--task", "grasp", "--episodes", "4",
+                   "--out", str(out)])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == "graspnav: could not place object 'b'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_batch_into_existing_directory_writes_only_its_files(
+            self, tmp_path, capsys):
+        rc = main(["simulate", "--task", "grasp", "--episodes", "2",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "episodes.ndjson", "summary.json"]
+        assert len((tmp_path / "episodes.ndjson").read_text().splitlines()) == 2
 
     def test_unknown_task_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -16,9 +16,10 @@ from graspnav.geometry import Pose, look_at, project_many, rotation_about_z
 from graspnav.sim import (Box, CabinetSpec, Cylinder, NoiseModel, ObjectSpec,
                           SceneSpec, SimConfig, default_grasp_spec,
                           default_search_spec, derive_seed, detect_boxes,
-                          generate_scene, render_depth, run_grasp_batch,
-                          run_grasp_episode, run_search_batch,
-                          run_search_episode, stratified_rect, summarize)
+                          generate_scene, render_depth, run_batch,
+                          run_grasp_episode, run_search_episode,
+                          stratified_rect, summarize)
+from graspnav.sim import episodes
 from graspnav.sim.episodes import (STAGES, EpisodeReport, StageOutcome,
                                    _approach_rotation)
 from graspnav.sim.primitives import aabbs_overlap
@@ -758,10 +759,9 @@ def test_episode_failure_stage_and_reason(task, overrides, stage, reason):
 
 class TestBatchesAndSummary:
     def test_search_batch_deterministic_bytes(self):
-        r1, s1 = run_search_batch(4, base_seed=5)
-        r2, s2 = run_search_batch(4, base_seed=5)
+        r1, r2 = list(run_batch("search", 4, 5)), list(run_batch("search", 4, 5))
         assert [to_json(r) for r in r1] == [to_json(r) for r in r2]
-        assert s1 == s2
+        assert summarize(r1) == summarize(r2)
 
     def test_report_line_rejects_nan(self):
         rep = EpisodeReport(task="search", index=0, seed=1, query="cabinet",
@@ -771,8 +771,9 @@ class TestBatchesAndSummary:
             to_json(rep)
 
     def test_grasp_batch_cycles_targets(self):
-        reports, summary = run_grasp_batch(
-            6, base_seed=5, config=RunConfig(noise=NoiseModel.noiseless()))
+        reports = list(run_batch(
+            "grasp", 6, 5, config=RunConfig(noise=NoiseModel.noiseless())))
+        summary = summarize(reports)
         assert [r.query for r in reports] == ["crate", "bottle", "stick"] * 2
         assert summary["episodes"] == 6
         assert summary["successes"] == 6
@@ -780,8 +781,8 @@ class TestBatchesAndSummary:
 
     def test_summary_conserves_episodes(self):
         noise = NoiseModel(depth_sigma=0.02, detection_dropout=0.3)
-        reports, summary = run_grasp_batch(12, base_seed=1,
-                                           config=RunConfig(noise=noise))
+        summary = summarize(run_batch("grasp", 12, 1,
+                                      config=RunConfig(noise=noise)))
         total = summary["successes"] + sum(summary["stage_failures"].values())
         assert total == summary["episodes"] == 12
         assert summary["conserved"]
@@ -808,8 +809,21 @@ class TestBatchesAndSummary:
 
     def test_search_batch_requires_cabinet(self):
         with pytest.raises(ValueError):
-            run_search_batch(1, base_seed=0, spec=default_grasp_spec())
+            run_batch("search", 1, 0, spec=default_grasp_spec())
 
     def test_grasp_batch_requires_objects(self):
         with pytest.raises(ValueError):
-            run_grasp_batch(1, base_seed=0, spec=SceneSpec())
+            run_batch("grasp", 1, 0, spec=SceneSpec())
+
+    def test_batch_streams_one_episode_per_report(self, monkeypatch):
+        calls = []
+        real = episodes.run_grasp_episode
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["index"])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(episodes, "run_grasp_episode", counted)
+        batch = run_batch("grasp", 3, 5)
+        assert calls == []
+        assert next(batch).index == 0
+        assert calls == [0]
