@@ -82,13 +82,15 @@ class DetectionFrame:
     detections: list[Detection2D] = field(default_factory=list)
 
     def __post_init__(self):
-        self.depth = np.asarray(self.depth, dtype=np.float64)
+        depth = np.asarray(self.depth)
+        if depth.dtype != np.float32:  # a float32 image is scanned before it is widened
+            depth = depth.astype(np.float64, copy=False)
         expected = (self.intrinsics.height, self.intrinsics.width)
-        if self.depth.shape != expected:
-            raise ValueError(
-                f"depth shape {self.depth.shape} does not match intrinsics {expected}")
-        if np.any(self.depth < 0):
+        if depth.shape != expected:
+            raise ValueError(f"depth shape {depth.shape} does not match intrinsics {expected}")
+        if np.any(depth < 0):
             raise ValueError("depth image contains negative values")
+        self.depth = depth.astype(np.float64, copy=False)
 
     @property
     def handles(self) -> list[Detection2D]:
@@ -544,11 +546,12 @@ def load_detection_frame(path: str | Path) -> DetectionFrame:
     if not np.all(np.isfinite(depth)):
         raise FileFormatError(
             f"{path}: depth file {depth_name} contains non-finite values")
-    if np.any(depth < 0):
-        raise FileFormatError(f"{path}: depth file contains negative values")
-    depth = depth.astype(np.float64).reshape(intrinsics.height, intrinsics.width)
-    return DetectionFrame(intrinsics=intrinsics, cam_pose=cam_pose,
-                          depth=depth, detections=detections)
+    try:
+        return DetectionFrame(intrinsics=intrinsics, cam_pose=cam_pose,
+                              depth=depth.reshape(intrinsics.height, intrinsics.width),
+                              detections=detections)
+    except ValueError as exc:  # the shape fits, so the frame's scan found a negative value
+        raise FileFormatError(f"{path}: depth file contains negative values") from exc
 
 
 def write_detection_frame(path: str | Path, frame: DetectionFrame,

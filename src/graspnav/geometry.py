@@ -460,7 +460,12 @@ def ransac_plane(points: np.ndarray, params: RansacParams = RansacParams(),
     for lo in range(0, params.iterations, _RANSAC_CHUNK):
         block = triplets[lo:lo + _RANSAC_CHUNK]
         a = pts[block[:, 0]]
-        normals = np.cross(pts[block[:, 1]] - a, pts[block[:, 2]] - a)
+        u, v = pts[block[:, 1]] - a, pts[block[:, 2]] - a
+        # np.cross's products and differences, in its order: equal bit for bit
+        normals = np.empty_like(a)
+        normals[:, 0] = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
+        normals[:, 1] = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
+        normals[:, 2] = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
         lengths = np.linalg.norm(normals, axis=1)
         valid = lengths > 1e-12
         if not np.any(valid):
@@ -543,15 +548,48 @@ def _segment_clear(a: np.ndarray, b: np.ndarray, obstacles: PointIndex,
     return bool(np.min(dist_sq) > clearance * clearance)
 
 
-def sight_reach(radius: float, clearance: float) -> float:
-    """Horizontal crop reach around `to_point` for `line_of_sight` starts
-    within `radius` of it: every segment point is within `radius` too, so a
-    point beyond the reach is farther than ``clearance + h/2`` plus a margin
-    (h = `_SIGHT_SPACING`) from all of them; no sample's bounded query finds
-    it, the exact test never sees it block, and dropping it changes no flag.
-    The 1e-6 m term absorbs the rounding of the crop's squared distances
-    (`PointCloudScene.obstacle_index`)."""
-    return radius + clearance + 0.5 * _SIGHT_SPACING + 1e-6
+def sight_fan(points: np.ndarray, to_point: np.ndarray, starts: np.ndarray,
+              clearance: float) -> np.ndarray:
+    """Ascending indices of the `points` that can decide a flag of
+    ``line_of_sight(starts, to_point, obstacles, clearance)``.
+
+    The sight fan is the set of segments from each start s to b =
+    `to_point`. Give each point and start its ground distance rho from b
+    and its height zeta above b. The segment point b + t (s - b) is at
+    least max(|rho_p - t rho_s|, |zeta_p - t zeta_s|) from p. A point is
+    kept when some t in [0, 1] puts both terms within ``r = clearance +
+    h/2 + 1e-6`` (h = `_SIGHT_SPACING`) for starts in the rho and zeta
+    ranges of `starts`: four inequalities a t <= c, each with a scalar a.
+    A dropped point is thus beyond every sample's bounded query and farther
+    than `clearance` from every segment, so no flag changes and the same
+    segments reach `_segment_clear`; the 1e-6 m absorbs rounding. A
+    squared ground-distance test against max rho_s + r runs first (a
+    square that overflows is dropped), so the fan test sees only the rest.
+    """
+    pts, starts = _as_points(points), _as_points(starts)
+    if len(starts) == 0:
+        return np.empty(0, dtype=np.intp)
+    b = np.asarray(to_point, dtype=np.float64)
+    r = clearance + 0.5 * _SIGHT_SPACING + 1e-6
+    rho_s = np.hypot(starts[:, 0] - b[0], starts[:, 1] - b[1])
+    zeta_s = starts[:, 2] - b[2]
+    dx, dy = pts[:, 0] - b[0], pts[:, 1] - b[1]
+    with np.errstate(over="ignore"):
+        dx *= dx
+        dy *= dy
+        dx += dy
+        near = np.flatnonzero(dx <= (rho_s.max() + r) ** 2)
+        rho, zeta = np.sqrt(dx[near]), pts[near, 2] - b[2]
+        t_lo, t_hi = np.zeros(len(near)), np.ones(len(near))
+        for a, c in ((-rho_s.max(), r - rho), (rho_s.min(), rho + r),
+                     (-zeta_s.max(), r - zeta), (zeta_s.min(), zeta + r)):
+            if a > 0.0:
+                np.minimum(t_hi, c / a, out=t_hi)
+            elif a < 0.0:
+                np.maximum(t_lo, c / a, out=t_lo)
+            else:
+                t_lo[c < 0.0] = math.inf
+    return near[t_lo <= t_hi]
 
 
 def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
@@ -576,7 +614,9 @@ def line_of_sight(from_point: np.ndarray, to_point: np.ndarray,
     (and near-zero or very long ones) get `_segment_clear`, the exact
     point-to-segment test, so every flag equals the exact test's.
 
-    `sight_reach` gives how far from `to_point` an obstacle can decide a flag.
+    So only an obstacle within ``clearance + h/2`` (plus the margin) of some
+    segment can decide a flag; `sight_fan` keeps the points that may be,
+    from their ground distance to `to_point` and their height.
 
     Raises:
         DegenerateInputError: a segment's squared length is not finite.

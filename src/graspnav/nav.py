@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import MAX_LENGTH, JsonCodec, bounded
 from .errors import ConfigError, DegenerateInputError, EmptySceneError
-from .geometry import line_of_sight, sight_reach
+from .geometry import line_of_sight
 from .scene import PointCloudScene
 
 REASON_OUT_OF_SCENE = "out-of-scene"
@@ -142,22 +142,23 @@ def validate_candidates(candidates: list[BodyCandidate], scene: PointCloudScene,
     In-scene check: `check_stance`, with the target excluded. Line-of-sight
     check: from the camera point to the target centroid, blocked by the
     points of `scene.obstacle_index` with `los_target_exclusion`, so the
-    support surface right under the object does not block; the index is
-    cropped, exactly, to the horizontal reach of the candidates' segments.
+    support surface right under the object does not block. The index holds
+    only the points of the sight fan (`geometry.sight_fan`) of the in-scene
+    cameras: those whose ground distance from the centroid and height can
+    bring them within reach of a segment, where they could decide a flag.
     One clearance query and one line-of-sight call serve all candidates.
     """
     centroid = scene.centroid_of(target_instance)
     positions = np.array([cand.position for cand in candidates]).reshape(-1, 2)
-    cameras = np.column_stack([positions, [c.camera_height for c in candidates]])
-    ground = np.hypot(positions[:, 0] - centroid[0], positions[:, 1] - centroid[1])
-    reach = sight_reach(float(ground.max(initial=0.0)), config.los_clearance)
-    los_index = scene.obstacle_index(exclude_instance=target_instance,
-                                     target_exclusion=config.los_target_exclusion,
-                                     reach=reach)
     inside, clear, d_obstacles = check_stance(scene, positions, target_instance, config)
     in_scene = inside & clear
+    cameras = np.column_stack([positions, [c.camera_height for c in candidates]])[in_scene]
+    los_index = scene.obstacle_index(exclude_instance=target_instance,
+                                     target_exclusion=config.los_target_exclusion,
+                                     sight_starts=cameras,
+                                     sight_clearance=config.los_clearance)
     sight = np.zeros(len(candidates), dtype=bool)
-    sight[in_scene] = line_of_sight(cameras[in_scene], centroid, los_index,
+    sight[in_scene] = line_of_sight(cameras, centroid, los_index,
                                     clearance=config.los_clearance)
 
     out = []

@@ -26,7 +26,7 @@ from .errors import (
     InstanceNotFoundError,
     UnsupportedQueryError,
 )
-from .geometry import PointIndex
+from .geometry import PointIndex, sight_fan
 
 DEFAULT_EMBEDDING_DIM = 768
 EMBEDDING_NORM_TOL = 1e-6
@@ -288,39 +288,33 @@ class PointCloudScene:
     def obstacle_index(self, exclude_instance: int | None = None,
                        min_z: float | None = None,
                        target_exclusion: float = 0.0,
-                       reach: float | None = None) -> PointIndex:
+                       sight_starts: np.ndarray | None = None,
+                       sight_clearance: float = 0.0) -> PointIndex:
         """Index over scene points outside the excluded instance / floor slab.
 
         With `target_exclusion` > 0 it also drops the points within that
         distance of the excluded instance's centroid; this is the one rule
         for which points block the line of sight of body placement. With
-        `reach` it keeps only the points within that horizontal distance of
-        the centroid (`geometry.sight_reach` gives one that decides no sight
-        flag); no vertical crop, as a low target keeps the floor in any band.
-
-        The reach test compares squared distances, ``dx*dx + dy*dy <=
-        reach*reach``. It can differ from an exact test only for points a
-        few ulps from the reach, far inside the 1e-6 m margin that
-        `sight_reach` adds, where no point decides a flag. A coordinate
-        whose square overflows gives inf and is dropped.
+        `sight_starts` it keeps only the points of `geometry.sight_fan` for
+        segments from those starts to the centroid at `sight_clearance`:
+        the points whose ground distance from the centroid and height can
+        bring them within ``sight_clearance + h/2`` of a segment. None of
+        the dropped points decides a `line_of_sight` flag for those starts.
         """
-        if exclude_instance is None and (target_exclusion > 0.0 or reach is not None):
-            raise ValueError("target_exclusion and reach need an excluded instance")
+        if exclude_instance is None and (target_exclusion > 0.0 or sight_starts is not None):
+            raise ValueError("target_exclusion and sight_starts need an excluded instance")
         mask = np.ones(len(self.points), dtype=bool)
         if exclude_instance is not None:
             mask[self.instance(exclude_instance).point_indices] = False
         if min_z is not None:
             mask &= self.points[:, 2] >= min_z
-        if reach is not None:
-            cx, cy, _ = self.centroid_of(exclude_instance)
-            dx = self.points[:, 0] - cx
-            dy = self.points[:, 1] - cy
-            with np.errstate(over="ignore"):
-                dx *= dx
-                dy *= dy
-                dx += dy
-            mask &= dx <= reach * reach
-        points = self.points.take(np.flatnonzero(mask), axis=0)
+        if sight_starts is None:
+            keep = np.flatnonzero(mask)
+        else:
+            keep = sight_fan(self.points, self.centroid_of(exclude_instance), sight_starts,
+                             sight_clearance)
+            keep = keep[mask[keep]]
+        points = self.points.take(keep, axis=0)
         if target_exclusion > 0.0:
             # np.linalg.norm's row norm, summed in its order: equal bit for bit
             d = points - self.centroid_of(exclude_instance)

@@ -609,8 +609,13 @@ class TestFrameIO:
         write_detection_frame(path, frame)
         bad = np.full(INTR.width * INTR.height, -1.0, dtype="<f4")
         bad.tofile(tmp_path / "frame.depth.bin")
-        with pytest.raises(FileFormatError, match="negative"):
+        with pytest.raises(FileFormatError, match="depth file contains negative values"):
             load_detection_frame(path)
+        # the loader scans once; a frame built in Python is still checked
+        depth = frame.depth.copy()
+        depth[2, 3] = -1e-6
+        with pytest.raises(ValueError, match="negative"):
+            DetectionFrame(intrinsics=INTR, cam_pose=Pose.identity(), depth=depth)
 
     def test_bad_detection_class(self, tmp_path):
         frame = self.sample_frame()

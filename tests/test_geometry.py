@@ -43,7 +43,7 @@ from graspnav.geometry import (
     project,
     ransac_plane,
     rotation_about_z,
-    sight_reach,
+    sight_fan,
     _segment_clear,
 )
 from graspnav.scene import InstanceMask, PointCloudScene
@@ -1099,50 +1099,102 @@ class TestBatchedLineOfSight:
         assert len(calls) == 2
 
 
-class TestSightReach:
-    """Obstacle points past `sight_reach` of `to_point`, horizontally, leave
-    every flag as it was and send no segment to the exact test."""
+def fan_case(rng, heights, n_radii):
+    """Target b, clearance and 32 starts around b: `heights` is "above",
+    "below", "level" (at b's height) or "mixed" (each start any of them),
+    and the starts' ground distances take `n_radii` values."""
+    b = rng.uniform(-1.0, 1.0, size=3)
+    clearance = float(rng.uniform(0.03, 0.2))
+    radii = np.sort(rng.uniform(0.2, 2.0, n_radii))
+    rho = radii[np.arange(32) % n_radii]
+    angle = rng.uniform(0.0, 2.0 * math.pi, 32)
+    rise = {"above": rng.uniform(0.2, 1.0, 32), "below": -rng.uniform(0.2, 1.0, 32),
+            "level": np.zeros(32)}
+    side = rng.integers(0, 3, 32)
+    z = (np.choose(side, list(rise.values())) if heights == "mixed" else rise[heights])
+    starts = np.column_stack([b[0] + rho * np.cos(angle), b[1] + rho * np.sin(angle),
+                              b[2] + z])
+    return b, clearance, starts
 
-    def test_points_past_the_reach_change_nothing(self, monkeypatch):
+
+def near_segments(rng, b, starts, n, lo, hi):
+    """n points each at a distance in [lo, hi) from a point of a random
+    segment from a start to b, in a random direction."""
+    seg = rng.integers(0, len(starts), n)
+    t = rng.uniform(0.0, 1.0, n)[:, None]
+    on = b + t * (starts[seg] - b)
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return on + rng.uniform(lo, hi, n)[:, None] * direction
+
+
+FAN_CASES = [(h, k) for h in ("above", "below", "level", "mixed") for k in (1, 16)]
+
+
+class TestSightFan:
+    """`sight_fan` drops only points that decide no `line_of_sight` flag,
+    and keeps every point within its radius of a segment."""
+
+    @pytest.mark.parametrize("heights,n_radii", FAN_CASES)
+    def test_dropped_points_change_no_flag_and_no_exact_call(self, monkeypatch, heights,
+                                                            n_radii):
         exact = []
 
         def counted(a, b, obstacles, clearance):
             exact.append(tuple(a))
             return _segment_clear(a, b, obstacles, clearance)
         monkeypatch.setattr(geometry, "_segment_clear", counted)
-        rng = np.random.default_rng(931)
-        outcomes = set()
-        for _ in range(40):
-            radius, clearance = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.03, 0.2))
-            b = rng.uniform(-1.0, 1.0, size=3)
-            # starts anywhere within the radius, the first 8 on its rim
-            angle = rng.uniform(0.0, 2.0 * math.pi, 32)
-            rho = radius * np.sqrt(rng.uniform(0.0, 1.0, 32))
-            rho[:8] = radius
-            starts = np.column_stack([b[0] + rho * np.cos(angle), b[1] + rho * np.sin(angle),
-                                      rng.uniform(-1.0, 2.0, 32)])
-            inner_angle = rng.uniform(0.0, 2.0 * math.pi, 20)
-            inner_rho = radius * np.sqrt(rng.uniform(0.0, 1.0, 20))
-            inner = np.column_stack([b[0] + inner_rho * np.cos(inner_angle),
-                                     b[1] + inner_rho * np.sin(inner_angle),
-                                     rng.uniform(-1.0, 2.0, 20)])
-            # past the reach: behind each rim start at its height, and anywhere
-            reach = np.nextafter(sight_reach(radius, clearance), math.inf)
-            far_angle = np.concatenate([angle[:8], rng.uniform(0.0, 2.0 * math.pi, 40)])
-            far_rho = reach + np.where(rng.uniform(size=48) < 0.5, 0.0,
-                                       rng.uniform(0.0, 0.05, 48))
-            far = np.column_stack([b[0] + far_rho * np.cos(far_angle),
-                                   b[1] + far_rho * np.sin(far_angle),
-                                   np.concatenate([starts[:8, 2],
-                                                   rng.uniform(-1.0, 2.0, 40)])])
-            want = line_of_sight(starts, b, PointIndex(inner), clearance)
+        rng = np.random.default_rng([933, n_radii, len(heights)])
+        outcomes, dropped, exact_calls = set(), 0, 0
+        for _ in range(12):
+            b, clearance, starts = fan_case(rng, heights, n_radii)
+            reach = np.abs(starts - b).max(axis=0) + 0.5
+            scattered = b + rng.uniform(-1.0, 1.0, size=(300, 3)) * reach
+            # near the clearance, where the exact test decides
+            grazing = near_segments(rng, b, starts, 12, clearance - 0.03, clearance + 0.03)
+            points = np.vstack([scattered, grazing])
+            keep = sight_fan(points, b, starts, clearance)
+            assert np.all(np.diff(keep) > 0)
+            want = line_of_sight(starts, b, PointIndex(points), clearance)
             want_exact, exact[:] = list(exact), []
-            got = line_of_sight(starts, b, PointIndex(np.vstack([inner, far])), clearance)
+            got = line_of_sight(starts, b, PointIndex(points[keep]), clearance)
             np.testing.assert_array_equal(got, want)
             assert exact == want_exact
+            exact_calls += len(exact)
             exact.clear()
             outcomes.update(want.tolist())
+            dropped += len(points) - len(keep)
         assert outcomes == {True, False}
+        assert dropped > 0 and exact_calls > 0
+
+    @pytest.mark.parametrize("heights,n_radii", FAN_CASES)
+    def test_no_point_near_a_segment_is_dropped(self, heights, n_radii):
+        rng = np.random.default_rng([934, n_radii, len(heights)])
+        for _ in range(12):
+            b, clearance, starts = fan_case(rng, heights, n_radii)
+            r = clearance + 0.5 * _SIGHT_SPACING + 1e-6
+            # a dense sample of every segment, ends included
+            t = np.linspace(0.0, 1.0, 401)[:, None, None]
+            samples = (b + t * (starts - b)).reshape(-1, 3)
+            pick = samples[rng.integers(0, len(samples), 2000)]
+            direction = rng.normal(size=(2000, 3))
+            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            length = r * rng.uniform(0.0, 1.0, 2000)
+            length[::8] = r * (1.0 - 1e-9)
+            near = pick + length[:, None] * direction
+            np.testing.assert_array_equal(sight_fan(near, b, starts, clearance),
+                                          np.arange(len(near)))
+
+    def test_no_starts_keep_no_point_and_far_points_raise_no_warning(self):
+        points = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.5], [0.0, 1e300, 1e300],
+                           [0.1, 0.0, 1e308], [0.0, 0.1, -1e308]])
+        b = np.zeros(3)
+        assert len(sight_fan(points, b, np.empty((0, 3)), 0.1)) == 0
+        for z in (-0.5, 0.0, 1e-3, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                kept = sight_fan(points, b, np.array([[0.7, 0.0, z], [0.0, 1.1, z]]), 0.1)
+            np.testing.assert_array_equal(kept, [0])
 
 
 # ---------------------------------------------------------------------------

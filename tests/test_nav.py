@@ -27,6 +27,7 @@ from graspnav.nav import (
     validate_candidates,
 )
 from graspnav.scene import InstanceMask, PointCloudScene
+from graspnav.sim import default_grasp_spec, derive_seed, generate_scene
 
 from test_geometry import los_oracle
 
@@ -353,9 +354,26 @@ def canopy_scene(seed):
     return simple_target_scene(extra_groups=(canopy,))
 
 
+def low_scene(seed):
+    """Floor, a flat target whose centroid sits below every config's
+    `los_clearance`, low clutter and random posts around it."""
+    rng = np.random.default_rng(seed)
+    floor = floor_grid()
+    target = object_cluster([0.0, 0.0, 0.012], n=60, scale=0.01, seed=seed)
+    angle, radius = rng.uniform(0.0, 2.0 * math.pi, 80), rng.uniform(0.3, 1.5, 80)
+    clutter = np.column_stack([radius * np.cos(angle), radius * np.sin(angle),
+                               rng.uniform(0.02, 0.08, 80)])
+    posts = [object_cluster([r * math.cos(a), r * math.sin(a), rng.uniform(0.1, 0.6)],
+                            n=40, scale=0.08, seed=seed * 10 + i)
+             for i, (a, r) in enumerate(zip(rng.uniform(0.0, 2.0 * math.pi, 3),
+                                            rng.uniform(0.4, 1.3, 3)))]
+    return build_scene(floor, target, clutter, *posts,
+                       instances=[(0, "target", range(len(floor), len(floor) + len(target)))])
+
+
 class TestSightIndexCrop:
-    """validate_candidates crops its sight index to the horizontal reach of
-    the checked segments; every result equals the full index's."""
+    """validate_candidates builds its sight index from the sight fan of the
+    checked segments only; every result equals the full index's."""
 
     CONFIGS = [NavConfig(),
                NavConfig(los_target_exclusion=0.0, footprint_radius=0.2, los_clearance=0.03),
@@ -365,7 +383,7 @@ class TestSightIndexCrop:
         full_index = PointCloudScene.obstacle_index
 
         def uncropped(scene, exclude_instance=None, min_z=None, target_exclusion=0.0,
-                      reach=None):
+                      sight_starts=None, sight_clearance=0.0):
             return full_index(scene, exclude_instance, min_z, target_exclusion)
         builds = []
         init = PointIndex.__init__
@@ -376,9 +394,11 @@ class TestSightIndexCrop:
         monkeypatch.setattr(PointIndex, "__init__", counted)
         reasons = {i: set() for i in range(len(self.CONFIGS))}
         cropped_sizes, full_sizes = [], []  # points indexed per validation
-        for seed in range(27):
+        for seed in range(36):
             cfg = self.CONFIGS[seed % 3]
-            make = (post_scene, edge_scene, canopy_scene)[seed // 3 % 3]
+            make = (post_scene, edge_scene, canopy_scene, low_scene)[seed // 3 % 4]
+            if make is low_scene:
+                assert make(seed).centroid_of(0)[2] < cfg.los_clearance
             cands = sample_positions(make(seed).centroid_of(0), cfg)
             cropped = validate_candidates(cands, make(seed), 0, cfg)
             assert len(builds) == 2, "one clearance and one line-of-sight kd-tree"
@@ -397,6 +417,28 @@ class TestSightIndexCrop:
             assert seen == {None, REASON_OUT_OF_SCENE, REASON_NO_LINE_OF_SIGHT}
         assert all(c <= f for c, f in zip(cropped_sizes, full_sizes))
         assert sum(cropped_sizes) < 0.9 * sum(full_sizes)
+
+    def test_grasp_scenes_index_under_one_percent_of_their_points(self, monkeypatch):
+        # what the fan saves: with the default config the segments clear the
+        # floor and the furniture, so almost no point can decide a flag
+        full_index = PointCloudScene.obstacle_index
+        sizes = []
+
+        def recorded(scene, *args, **kwargs):
+            index = full_index(scene, *args, **kwargs)
+            if kwargs.get("sight_starts") is not None:
+                sizes.append(len(index))
+            return index
+        monkeypatch.setattr(PointCloudScene, "obstacle_index", recorded)
+        cfg = NavConfig()
+        for seed in (5, 11):
+            synth = generate_scene(default_grasp_spec(), derive_seed(seed, 0, 0))
+            for obj in synth.objects:
+                centroid = synth.scene.centroid_of(obj.instance_id)
+                validate_candidates(sample_positions(centroid, cfg), synth.scene,
+                                    obj.instance_id, cfg)
+                assert len(sizes) == 1
+                assert sizes.pop() < 0.01 * len(synth.scene.points)
 
     def test_far_points_validate_without_a_warning(self):
         # a coordinate of 1e200 squares to inf in the crop: dropped, no warning

@@ -20,6 +20,7 @@ from graspnav.errors import (
     InstanceNotFoundError,
     UnsupportedQueryError,
 )
+from graspnav.geometry import _SIGHT_SPACING, sight_fan
 from graspnav.scene import (
     InstanceMask,
     PointCloudScene,
@@ -625,42 +626,50 @@ class TestObstacleIndex:
 
 
 class TestSightCropAndCaches:
-    def test_reach_keeps_points_within_the_horizontal_distance(self):
+    def test_sight_starts_keep_the_fan_points(self):
         rng = np.random.default_rng(24)
         pts = rng.uniform(-2.0, 2.0, size=(3000, 3))
         scene = make_scene(pts, [(0, "a", list(range(100)), None)])
         centroid = pts[:100].mean(axis=0)
+        starts = centroid + np.array([[1.0, 0.0, 0.8], [0.0, -1.2, 0.3], [0.5, 0.5, -0.4]])
+        fan = np.zeros(len(pts), dtype=bool)
+        fan[sight_fan(pts, centroid, starts, 0.1)] = True
         for exclusion in (0.0, 0.4):
-            keep = np.hypot(pts[:, 0] - centroid[0], pts[:, 1] - centroid[1]) <= 1.2
-            keep &= np.linalg.norm(pts - centroid, axis=1) > exclusion
+            keep = fan & (np.linalg.norm(pts - centroid, axis=1) > exclusion)
             keep[:100] = False
             index = scene.obstacle_index(exclude_instance=0, target_exclusion=exclusion,
-                                         reach=1.2)
+                                         sight_starts=starts, sight_clearance=0.1)
             np.testing.assert_array_equal(index.points, pts[keep])
             assert 0 < len(index) < len(scene.obstacle_index(
                 exclude_instance=0, target_exclusion=exclusion))
 
     def test_squared_reach_and_hypot_differ_only_at_the_reach_rounding(self):
-        # points a few ulps either side of the reach, and 1e-7 m inside it:
-        # the squared-distance test keeps every point hypot keeps short of
-        # the reach's last ulps, far points (their squares overflow) go
-        # without a warning, and no point past the rounding is kept
+        # starts level with the centroid keep the points within the slab of
+        # the sight radius r and within reach = max ground distance + r;
+        # points a few ulps either side of the reach, and 1e-7 m inside
+        # it: every point hypot keeps short of the reach's last ulps is
+        # kept, far points (their squares overflow) go without a warning,
+        # and no point past the rounding is kept
         rng = np.random.default_rng(27)
         target = rng.uniform(-0.1, 0.1, size=(50, 3))
         centroid = target.mean(axis=0)
         far = np.array([[1e200, 0.0, 0.0], [0.0, -1e200, 0.5], [1e300, 1e300, 1e300]])
+        clearance = 0.1
+        r = clearance + 0.5 * _SIGHT_SPACING + 1e-6
         for reach in (0.3, 1.2, 2.0 / 3.0, 3.7051):
             angle = rng.uniform(0.0, 2.0 * np.pi, 4000)
             radius = reach * (1.0 + rng.integers(-6, 7, 4000) * np.finfo(float).eps)
             radius[::8] = reach - 1e-7
             ring = np.column_stack([centroid[0] + radius * np.cos(angle),
                                     centroid[1] + radius * np.sin(angle),
-                                    rng.uniform(-1.0, 1.0, 4000)])
+                                    centroid[2] + rng.uniform(-0.1, 0.1, 4000)])
             scene = make_scene(np.vstack([target, ring, far]),
                                [(0, "a", list(range(50)), None)])
+            starts = centroid + np.array([[reach - r, 0.0, 0.0], [0.0, r - reach, 0.0]])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                index = scene.obstacle_index(exclude_instance=0, reach=reach)
+                index = scene.obstacle_index(exclude_instance=0, sight_starts=starts,
+                                             sight_clearance=clearance)
             kept = np.isin(ring.view([("", float)] * 3).ravel(),
                            index.points.view([("", float)] * 3).ravel())
             assert len(index) == kept.sum()        # no far or target point
@@ -672,7 +681,7 @@ class TestSightCropAndCaches:
     def test_reach_needs_an_instance(self):
         scene = make_scene(np.zeros((3, 3)), [])
         with pytest.raises(ValueError):
-            scene.obstacle_index(reach=1.0)
+            scene.obstacle_index(sight_starts=np.zeros((1, 3)), sight_clearance=0.1)
 
     def test_centroid_is_one_read_only_mean_per_instance(self):
         rng = np.random.default_rng(25)
