@@ -33,7 +33,7 @@ from ..grasp import GraspBatch, GraspCandidate, sweep_pose, sweep_rotations
 from ..nav import check_stance
 from ..pipeline import STAGE_ERRORS, STAGES, perceive_drawers, plan_grasp
 from ..scene import PointCloudScene
-from .detector import detect_boxes
+from .detector import detect_boxes, noisy_detections, visible_boxes
 from .render import add_depth_noise, render_depth, trace_depth
 from .scenegen import (PlacedObject, SceneSpec, SyntheticScene,
                        default_grasp_spec, default_search_spec, generate_scene)
@@ -278,16 +278,18 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
         return report("navigation", "body-collides")
 
     # manipulation: close-range looks refine the estimate, then tolerance
-    # check vs truth; the body is stationary, so looks average out noise
+    # check vs truth; the body is stationary, so the looks share one trace
+    # and one visible set, and average out their noise
     close_eye = np.array([body_xy[0], body_xy[1], nav.camera_height])
     close_pose = look_at(close_eye, estimate.handle_center)
     close_trace = trace_depth(synth.primitives, intr, close_pose)
+    close_visible = visible_boxes(cabinet, intr, close_pose)
     centers, axes, inliers = [], [], []
     for look_i in range(sim.close_looks):
         close_depth = add_depth_noise(close_trace, noise,
                                       seed=derive_seed(seed, 40, look_i))
-        close_dets = detect_boxes(cabinet, intr, close_pose, noise,
-                                  seed=derive_seed(seed, 41, look_i))
+        close_dets = noisy_detections(close_visible, noise,
+                                      seed=derive_seed(seed, 41, look_i))
         close_frame = DetectionFrame(intrinsics=intr, cam_pose=close_pose,
                                      depth=close_depth, detections=close_dets)
         look, ok = refine_target(estimate, close_frame, drawer_cfg,

@@ -8,8 +8,10 @@ the camera axis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -66,19 +68,24 @@ class Box:
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Slab test; entry parameter per ray, inf on miss or origin inside."""
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / np.asarray(dirs, dtype=np.float64)
+        return self.intersect_inverse(origin, inv.T)
+
+    def intersect_inverse(self, origin: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """`intersect` given the inverse directions as planes `inv` (3, ...),
+        one per axis; the result has the shape of one plane."""
         origin = np.asarray(origin, dtype=np.float64)
-        dirs = np.asarray(dirs, dtype=np.float64)
-        tmin = np.full(len(dirs), -np.inf)
-        tmax = np.full(len(dirs), np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / dirs
+        tmin = np.full(inv.shape[1:], -np.inf)
+        tmax = np.full(inv.shape[1:], np.inf)
+        with np.errstate(invalid="ignore"):
             for axis in range(3):
-                t1 = (self.lo[axis] - origin[axis]) * inv[:, axis]
-                t2 = (self.hi[axis] - origin[axis]) * inv[:, axis]
+                t1 = (self.lo[axis] - origin[axis]) * inv[axis]
+                t2 = (self.hi[axis] - origin[axis]) * inv[axis]
                 # fmin/fmax ignore the NaN of 0 * inf, from a ray parallel
                 # to a slab that starts on one of its faces
-                tmin = np.fmax(tmin, np.fmin(t1, t2))
-                tmax = np.fmin(tmax, np.fmax(t1, t2))
+                np.fmax(tmin, np.fmin(t1, t2), out=tmin)
+                np.fmin(tmax, np.fmax(t1, t2, out=t1), out=tmax)
         hit = (tmax >= tmin) & (tmin > _RAY_EPS)
         return np.where(hit, tmin, np.inf)
 
@@ -182,11 +189,13 @@ class Cylinder:
         return np.concatenate(out, axis=0)
 
 
-def aabb_corners(aabb: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The 8 corners (8, 3) of an axis-aligned box given as (lo, hi)."""
-    lo, hi = aabb
-    return np.array([[x, y, z] for x in (lo[0], hi[0])
-                     for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+_CORNER_IS_HI = np.array(list(itertools.product((False, True), repeat=3)))
+
+
+def aabb_corners(aabbs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The 8 corners of each axis-aligned box given as (lo, hi): (8 k, 3)."""
+    lo_hi = np.reshape(np.asarray(aabbs, dtype=np.float64), (-1, 2, 1, 3))
+    return np.where(_CORNER_IS_HI, lo_hi[:, 1], lo_hi[:, 0]).reshape(-1, 3)
 
 
 def aabbs_overlap(a: tuple[np.ndarray, np.ndarray],

@@ -16,9 +16,9 @@ from graspnav import cli
 from graspnav.cli import (EXIT_GRASP_FILTER, EXIT_LOCALIZATION,
                           EXIT_NAVIGATION, EXIT_NO_EMBEDDINGS, EXIT_OK,
                           EXIT_PARSE, main)
-from graspnav.drawer import DetectionFrame, write_detection_frame
+from graspnav.drawer import Detection2D, DetectionFrame, write_detection_frame
 from graspnav.errors import GenerationError
-from graspnav.geometry import CameraIntrinsics, look_at
+from graspnav.geometry import BBox2D, CameraIntrinsics, look_at
 from graspnav.scene import save_scene, write_instances
 from graspnav.sim import (SimConfig, default_grasp_spec, default_search_spec,
                           detect_boxes, generate_scene, render_depth)
@@ -606,10 +606,15 @@ class TestJsonEmitters:
         assert capsys.readouterr().out == ""
 
     def test_detection_frame_with_infinity_is_not_written(self, tmp_path):
-        intr = CameraIntrinsics(fx=math.inf, fy=1.0, cx=0.5, cy=0.5,
+        # CameraIntrinsics rejects a non-finite focal length itself, so the
+        # infinity rides in a detection box
+        intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.5, cy=0.5,
                                 width=2, height=2)
+        det = Detection2D(class_label="handle",
+                          bbox=BBox2D(0.0, 0.0, math.inf, 1.0), confidence=0.5)
         frame = DetectionFrame(intrinsics=intr, cam_pose=look_at(
-            np.zeros(3), np.array([0.0, 0.0, 1.0])), depth=np.ones((2, 2)))
+            np.zeros(3), np.array([0.0, 0.0, 1.0])), depth=np.ones((2, 2)),
+            detections=[det])
         with pytest.raises(ValueError):
             write_detection_frame(tmp_path / "frame.json", frame)
         assert list(tmp_path.iterdir()) == []

@@ -1220,6 +1220,14 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=500.0, fy=500.0, cx=100.0, cy=10.0, width=100, height=100)
 
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_intrinsics_reject_non_finite(self, field, value):
+        params = dict(fx=100.0, fy=100.0, cx=10.0, cy=10.0, width=20, height=20)
+        params[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            CameraIntrinsics(**params)
+
     def test_plane_requires_unit_normal(self):
         with pytest.raises(ValueError):
             Plane(normal=np.array([0.0, 0.0, 2.0]), offset=0.0)

@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from graspnav.codec import to_json
 from graspnav.config import RunConfig
 from graspnav.errors import ConfigError, GenerationError
-from graspnav.geometry import Pose, look_at, project_many, rotation_about_z
+from graspnav.geometry import (CameraIntrinsics, Pose, look_at, project_many,
+                               rotation_about_z)
 from graspnav.sim import (Box, CabinetSpec, Cylinder, NoiseModel, ObjectSpec,
                           SceneSpec, SimConfig, default_grasp_spec,
                           default_search_spec, derive_seed, detect_boxes,
@@ -22,6 +23,7 @@ from graspnav.sim import (Box, CabinetSpec, Cylinder, NoiseModel, ObjectSpec,
 from graspnav.sim import episodes
 from graspnav.sim.episodes import (STAGES, EpisodeReport, StageOutcome,
                                    _approach_rotation)
+from graspnav.sim.detector import noisy_detections, visible_boxes
 from graspnav.sim.primitives import aabbs_overlap
 from graspnav.sim.render import add_depth_noise, trace_depth
 from graspnav.sim.scenegen import TIER_GRASP_COUNTS, load_scene_spec
@@ -378,6 +380,60 @@ class TestTraceDepthMatchesBruteForce:
         assert_array_equal(traced, before)
         assert_array_equal(render_depth(synth.primitives, _SMALL_INTR, pose), traced)
 
+    def test_odd_image_size_has_an_exact_centre_ray(self):
+        # cx and cy on integer pixels: the centre column's ray has exactly
+        # zero x and the centre row's exactly zero y in the camera frame
+        intr = CameraIntrinsics(fx=130.0, fy=130.0, cx=80.0, cy=60.0,
+                                width=161, height=121)
+        synth = generate_scene(default_search_spec(), seed=1)
+        depth = self._check(synth.primitives, intr, _front_camera(synth))
+        assert depth[60, 80] > 0
+        wall = Box(center=(0.0, 0.0, 2.0), size=(1.0, 1.0, 1.0))
+        pose = look_at(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+        assert self._check([wall], intr, pose)[60, 80] == 1.5
+
+    @pytest.mark.parametrize("quarter_turns", range(4))
+    def test_axis_aligned_poses_with_slabs_through_the_camera(self, quarter_turns):
+        # exact 0/+-1 rotations looking along +x, +y, -x, -y: whole rows and
+        # columns of rays have exact zero world components, and the slab
+        # planes through the camera's coordinates turn (lo - o) * inf into
+        # the NaN that the slab test must drop
+        turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        along_x = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        rotation = np.linalg.matrix_power(turn, quarter_turns) @ along_x
+        origin = np.array([0.25, -0.5, 0.75])
+        pose = Pose(rotation, origin)
+        forward = rotation[:, 2]
+        side = rotation[:, 0]
+        prims = [
+            # flush with the camera's height, its side plane and its depth
+            Box(center=origin + 1.5 * forward + [0.0, 0.0, 0.25],
+                size=(0.5, 0.5, 0.5)),
+            Box(center=origin + 1.0 * forward + 0.25 * side,
+                size=(0.5, 0.5, 0.2)),
+            Box(center=origin - 0.25 * forward + 0.6 * side,
+                size=(0.5, 0.5, 0.5)),
+        ]
+        for prim in prims:
+            assert np.any(prim.aabb()[0] == origin) or np.any(prim.aabb()[1] == origin)
+        intr = CameraIntrinsics(fx=130.0, fy=130.0, cx=80.0, cy=60.0,
+                                width=161, height=121)
+        depth = self._check(prims, intr, pose)
+        assert np.count_nonzero(depth) > 0
+        # the centre row's rays run flat along the first box's bottom face
+        ray = pose.rotation @ np.array([20.0 / 130.0, 0.0, 1.0])
+        assert ray[2] == 0.0 and prims[0].aabb()[0][2] == origin[2]
+
+    def test_alternating_intrinsics(self):
+        synth = generate_scene(default_search_spec(), seed=3)
+        pose = _front_camera(synth)
+        odd = CameraIntrinsics(fx=130.0, fy=130.0, cx=80.0, cy=60.0,
+                               width=161, height=121)
+        first = {}
+        for intr in (_SMALL_INTR, odd, _SMALL_INTR, odd, vga_intrinsics(), odd):
+            depth = self._check(synth.primitives, intr, pose)
+            assert_array_equal(depth, first.setdefault(intr, depth))
+
 
 def _front_camera(synth, sim=None):
     cabinet = synth.cabinet
@@ -468,6 +524,33 @@ class TestDetectBoxes:
         a = detect_boxes(self.synth.cabinet, self.intr, pose, noise, seed=4)
         b = detect_boxes(self.synth.cabinet, self.intr, pose, noise, seed=4)
         assert a == b
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(detection_dropout=1.0),
+                                       NoiseModel.noiseless()],
+                             ids=["reference", "all-dropped", "noiseless"])
+    def test_detect_boxes_is_noise_over_the_visible_set(self, noise):
+        pose = _front_camera(self.synth)
+        visible = visible_boxes(self.synth.cabinet, self.intr, pose)
+        assert len(visible) == 6
+        for s in range(20):
+            assert (noisy_detections(visible, noise, s)
+                    == detect_boxes(self.synth.cabinet, self.intr, pose, noise, seed=s))
+
+    def test_visible_boxes_match_per_box_projection_bit_for_bit(self):
+        cabinet = self.synth.cabinet
+        pose = _front_camera(self.synth)
+        visible = visible_boxes(cabinet, self.intr, pose)
+        for (label, bbox), box in zip(visible, [*cabinet.fronts, *cabinet.handles]):
+            assert bbox.as_list() == list(_expected_bbox(box, self.intr, pose))
+
+    def test_close_looks_share_one_visible_set(self):
+        cabinet, noise = self.synth.cabinet, NoiseModel()
+        pose = _front_camera(self.synth)
+        visible = visible_boxes(cabinet, self.intr, pose)
+        for look_i in range(5):
+            seed = derive_seed(7, 41, look_i)
+            assert (noisy_detections(visible, noise, seed)
+                    == detect_boxes(cabinet, self.intr, pose, noise, seed=seed))
 
 
 class TestSceneGen:
