@@ -29,12 +29,12 @@ import numpy as np
 from .codec import JsonCodec, read_json, to_json
 from .config import RunConfig, load_run_config
 from .drawer import load_detection_frame
-from .errors import FileFormatError, GraspNavError, LocalizationError
+from .errors import FileFormatError, GraspNavError
 from .grasp import load_grasp_batch
 # the EXIT_* codes stay importable from here for callers of main
 from .pipeline import (EXIT_GRASP_FILTER, EXIT_LOCALIZATION, EXIT_NAVIGATION,
                        EXIT_NO_EMBEDDINGS, EXIT_OK, EXIT_PARSE, STAGE_ERRORS,
-                       perceive_drawers, plan_grasp)
+                       localize, perceive_drawers, plan_grasp)
 from .scene import load_scene
 from .sim import batch_spec, derive_seed, run_batch, summarize
 from .sim.scenegen import load_scene_spec
@@ -105,6 +105,12 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _result_dict(scene, result) -> dict:
+    return {"instance_id": result.instance_id,
+            "label": scene.instance(result.instance_id).label,
+            "similarity": result.similarity, "centroid": result.centroid}
+
+
 def _body_dict(index: int, body) -> dict:
     return {"index": index, "position": body.position, "yaw": body.yaw,
             "valid": body.valid, "reason": body.reason, "s_body": body.s_body,
@@ -130,10 +136,7 @@ def cmd_query(args) -> int:
     report = {
         "command": "query",
         "config": config,
-        "results": [{"instance_id": r.instance_id,
-                     "label": scene.instance(r.instance_id).label,
-                     "similarity": r.similarity, "centroid": r.centroid}
-                    for r in results],
+        "results": [_result_dict(scene, r) for r in results],
     }
     _emit(report, args.out)
     return EXIT_OK
@@ -142,21 +145,14 @@ def cmd_query(args) -> int:
 def cmd_plan_grasp(args) -> int:
     config = _resolve_config(args.config)
     scene = load_scene(args.scene, args.instances)
-    top = scene.query_instance(_load_query_embedding(args.query))[0]
-    if top.similarity < config.grasp.min_similarity:
-        raise LocalizationError(
-            f"best similarity {top.similarity:.3f} is below the"
-            f" min_similarity threshold {config.grasp.min_similarity}")
+    top = localize(scene, _load_query_embedding(args.query), config)
     plan = plan_grasp(scene, top.instance_id,
                       [load_grasp_batch(path) for path in args.grasps], config)
     selection = plan.selection
     report = {
         "command": "plan-grasp",
         "config": config,
-        "localization": {"instance_id": top.instance_id,
-                         "label": scene.instance(top.instance_id).label,
-                         "similarity": top.similarity,
-                         "centroid": top.centroid},
+        "localization": _result_dict(scene, top),
         "grasps": [_grasp_dict(i, g) for i, g in enumerate(plan.grasps)],
         "bodies": [_body_dict(i, b) for i, b in enumerate(plan.bodies)],
         "selection": {**dataclasses.asdict(selection),

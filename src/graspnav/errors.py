@@ -61,10 +61,6 @@ class EmptySceneError(GraspNavError):
     """No obstacle points remain after the requested exclusions."""
 
 
-class LocalizationError(GraspNavError):
-    """The queried object could not be localized in the scene."""
-
-
 class StageError(GraspNavError):
     """A planning stage left nothing to continue with; ``reason`` names the
     failure in episode reports."""
@@ -72,6 +68,10 @@ class StageError(GraspNavError):
     def __init__(self, message: str, reason: str | None = None):
         super().__init__(message)
         self.reason = reason
+
+
+class LocalizationError(StageError):
+    """The queried object could not be localized in the scene."""
 
 
 class NoGraspError(StageError):

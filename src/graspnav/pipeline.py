@@ -1,10 +1,11 @@
 """The planning stages that the command line and the simulator share.
 
-``plan_grasp`` takes rotation-sweep grasp proposals for a localized object
-to a joint grasp / body selection, and ``perceive_drawers`` turns detection
-frames into fused drawer targets. ``graspnav.cli`` runs them on files and
-``graspnav.sim.episodes`` on rendered scenes, so the simulator scores the
-code that the command line ships.
+``localize`` picks the instance a query embedding ranks first, ``plan_grasp``
+takes rotation-sweep grasp proposals for it to a joint grasp / body selection,
+``perceive_drawers`` turns detection frames into fused drawer targets, and
+``plan_pull_stance`` places the body to pull one. ``graspnav.cli`` runs them
+on files and ``graspnav.sim.episodes`` on rendered scenes, so the simulator
+scores the code that the command line ships (no command ships the pull yet).
 
 A stage that leaves nothing to continue with raises a StageError whose
 ``reason`` names the failure in episode reports. STAGE_ERRORS gives each
@@ -17,16 +18,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .config import RunConfig
-from .drawer import (DetectionFrame, DrawerConfig, DrawerTarget, fuse_views,
-                     match_handles_to_drawers, view_target)
-from .errors import (DegenerateInputError, LocalizationError,
-                     MissingDepthError, NoGraspError, NoPlaneFoundError,
-                     NoPoseError, UnsupportedQueryError)
+from .drawer import (DetectionFrame, DrawerConfig, DrawerTarget, PullPlan,
+                     fuse_views, match_handles_to_drawers, plan_pull, view_target)
+from .errors import (DegenerateInputError, InvalidAxisError,
+                     LocalizationError, MissingDepthError, NoGraspError,
+                     NoPlaneFoundError, NoPoseError, UnsupportedQueryError)
 from .grasp import (GraspBatch, GraspCandidate, filter_grasps,
                     merge_rotation_sweeps, sweep_pose, top_k_by_score)
-from .nav import BodyCandidate, sample_positions, validate_candidates
+from .nav import BodyCandidate, check_stance, sample_positions, validate_candidates
 from .optimizer import JointSelection, select_best
-from .scene import PointCloudScene
+from .scene import PointCloudScene, QueryResult
 
 STAGES = ("localization", "detection", "navigation", "manipulation")
 
@@ -45,6 +46,20 @@ STAGE_ERRORS = {
     NoGraspError: ("detection", EXIT_GRASP_FILTER),
     NoPoseError: ("navigation", EXIT_NAVIGATION),
 }
+
+
+def localize(scene: PointCloudScene, embedding, config: RunConfig,
+             counts: dict | None = None) -> QueryResult:
+    """The first-ranked instance, if it reaches ``min_similarity``; its
+    ``similarity`` goes to ``counts`` first."""
+    counts = {} if counts is None else counts
+    top = scene.query_instance(embedding)[0]
+    counts["similarity"] = float(top.similarity)
+    if top.similarity < config.grasp.min_similarity:
+        raise LocalizationError(
+            f"best similarity {top.similarity:.3f} is below the min_similarity"
+            f" threshold {config.grasp.min_similarity}", reason="low-similarity")
+    return top
 
 
 @dataclass(frozen=True)
@@ -136,3 +151,24 @@ def perceive_drawers(frames: Iterable[DetectionFrame], drawer_cfg: DrawerConfig,
                           "drawers": len(frame.drawers),
                           "matched": len(pairs), "lifted": lifted})
     return fuse_views(targets, drawer_cfg.cluster_radius), per_frame
+
+
+def plan_pull_stance(target: DrawerTarget, scene: PointCloudScene,
+                     config: RunConfig, counts: dict) -> PullPlan:
+    """The pull of ``target``, if the body can stand where it starts, in the
+    scene and clear of obstacles; ``counts`` receives ``body_position`` once
+    the plan is made and ``body_clearance`` once the stance is in the scene."""
+    try:
+        plan = plan_pull(target, config.drawer.standoff, config.drawer.pull_distance)
+    except InvalidAxisError as exc:
+        raise NoPoseError(str(exc), reason="axis-unpullable") from None
+    body_xy = plan.body_pose.translation[:2]
+    counts["body_position"] = body_xy.tolist()
+    (inside,), (clear,), (clearance,) = check_stance(scene, body_xy, None, config.nav)
+    if not inside:
+        raise NoPoseError("pull stance is outside the scene",
+                          reason="body-out-of-scene")
+    counts["body_clearance"] = float(clearance)
+    if not clear:
+        raise NoPoseError("pull stance collides", reason="body-collides")
+    return plan

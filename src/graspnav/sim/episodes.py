@@ -12,8 +12,9 @@ search episode, view renders, detections, plane fits, and the refinement
 look each take fixed sub-streams of the episode seed. Rerunning with the
 same configuration and seed reproduces reports byte for byte.
 
-Grasp filtering, body placement and selection, and the drawer perception
-loop run through ``graspnav.pipeline``, the same code as the command line.
+Every planning stage runs through ``graspnav.pipeline``, the same code as
+the command line, and its failures are reported through ``STAGE_ERRORS``;
+only the checks against ground truth live here.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from functools import partial
 import numpy as np
 
 from ..config import RunConfig, SimConfig
-from ..drawer import DetectionFrame, plan_pull, refine_target
-from ..errors import InvalidAxisError, StageError
+from ..drawer import DetectionFrame, refine_target
+from ..errors import StageError
 from ..geometry import Pose, farthest_point_sample, look_at
 from ..grasp import GraspBatch, GraspCandidate, sweep_pose, sweep_rotations
-from ..nav import check_stance
-from ..pipeline import STAGE_ERRORS, STAGES, perceive_drawers, plan_grasp
+from ..pipeline import (STAGE_ERRORS, STAGES, localize, perceive_drawers,
+                        plan_grasp, plan_pull_stance)
 from ..scene import PointCloudScene
 from .detector import detect_boxes, noisy_detections, visible_boxes
 from .render import add_depth_noise, render_depth, trace_depth
@@ -161,20 +162,15 @@ def run_grasp_episode(synth: SyntheticScene, target: PlacedObject,
     report = partial(_report, GRASP_TASK, index, seed, target.label,
                      target.tier, details)
 
-    # localization: embedding query must rank the target instance first
-    code = synth.label_codes[target.label]
-    results = scene.query_instance(code)
-    top = results[0]
-    details["similarity"] = float(top.similarity)
-    if top.instance_id != target.instance_id:
-        return report("localization", "wrong-instance")
-    if top.similarity < config.grasp.min_similarity:
-        return report("localization", "low-similarity")
-
-    # detection and navigation: noisy sweep proposals filtered onto the
-    # object, ring placements validated, then the joint selection
-    sweeps = _propose_grasps(target, scene, config, rng)
     try:
+        # localization: embedding query must rank the target instance first
+        top = localize(scene, synth.label_codes[target.label], config, details)
+        if top.instance_id != target.instance_id:
+            return report("localization", "wrong-instance")
+
+        # detection and navigation: noisy sweep proposals filtered onto the
+        # object, ring placements validated, then the joint selection
+        sweeps = _propose_grasps(target, scene, config, rng)
         plan = plan_grasp(scene, target.instance_id, sweeps, config,
                           counts=details)
     except StageError as exc:
@@ -223,64 +219,52 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
                                    config.drawer)
     if synth.cabinet is None:
         raise ValueError("search episodes need a scene with a cabinet")
-    cabinet = synth.cabinet
-    scene = synth.scene
+    cabinet, scene, intr = synth.cabinet, synth.scene, sim.intrinsics
     details: dict = {}
-    intr = sim.intrinsics
     report = partial(_report, SEARCH_TASK, index, seed, "cabinet", None, details)
 
-    # localization: the cabinet instance must rank first for its label code
-    results = scene.query_instance(synth.label_codes["cabinet"])
-    top = results[0]
-    details["similarity"] = float(top.similarity)
-    if top.instance_id != cabinet.instance_id:
-        return report("localization", "wrong-instance")
-
-    # detection: render and detect from arc views, lift, and fuse
-    def views():
-        for view_i, cam_pose in enumerate(
-                _view_poses(synth, sim, nav.camera_height)):
-            depth = render_depth(synth.primitives, intr, cam_pose, noise,
-                                 seed=derive_seed(seed, 10, view_i))
-            dets = detect_boxes(cabinet, intr, cam_pose, noise,
-                                seed=derive_seed(seed, 20, view_i))
-            yield DetectionFrame(intrinsics=intr, cam_pose=cam_pose,
-                                 depth=depth, detections=dets)
-
-    fused, per_view = perceive_drawers(
-        views(), drawer_cfg,
-        lambda view_i, pair_i: derive_seed(seed, 30, view_i, pair_i))
-    details["view_targets"] = sum(v["lifted"] for v in per_view)
-    details["views_with_targets"] = sum(1 for v in per_view if v["lifted"])
-    if not fused:
-        return report("detection", "no-detections")
-    details["fused_targets"] = len(fused)
-    true_center = cabinet.handle_centers[cabinet.item_drawer_index]
-    dists = [float(np.linalg.norm(t.handle_center - true_center)) for t in fused]
-    best = int(np.argmin(dists))
-    details["association_error"] = dists[best]
-    if dists[best] > drawer_cfg.gate_radius:
-        return report("detection", "target-drawer-not-found")
-    estimate = fused[best]
-
-    # navigation: stand on the pull axis, inside bounds, clear of obstacles
     try:
-        plan = plan_pull(estimate, drawer_cfg.standoff, drawer_cfg.pull_distance)
-    except InvalidAxisError:
-        return report("navigation", "axis-unpullable")
-    body_xy = plan.body_pose.translation[:2]
-    details["body_position"] = [float(body_xy[0]), float(body_xy[1])]
-    (inside,), (clear,), (clearance,) = check_stance(scene, body_xy, None, nav)
-    if not inside:
-        return report("navigation", "body-out-of-scene")
-    details["body_clearance"] = float(clearance)
-    if not clear:
-        return report("navigation", "body-collides")
+        # localization: the cabinet instance must rank first for its label code
+        top = localize(scene, synth.label_codes["cabinet"], config, details)
+        if top.instance_id != cabinet.instance_id:
+            return report("localization", "wrong-instance")
+
+        # detection: render and detect from arc views, lift, and fuse
+        def views():
+            for view_i, cam_pose in enumerate(
+                    _view_poses(synth, sim, nav.camera_height)):
+                depth = render_depth(synth.primitives, intr, cam_pose, noise,
+                                     seed=derive_seed(seed, 10, view_i))
+                dets = detect_boxes(cabinet, intr, cam_pose, noise,
+                                    seed=derive_seed(seed, 20, view_i))
+                yield DetectionFrame(intrinsics=intr, cam_pose=cam_pose,
+                                     depth=depth, detections=dets)
+
+        fused, per_view = perceive_drawers(
+            views(), drawer_cfg,
+            lambda view_i, pair_i: derive_seed(seed, 30, view_i, pair_i))
+        details["view_targets"] = sum(v["lifted"] for v in per_view)
+        details["views_with_targets"] = sum(1 for v in per_view if v["lifted"])
+        if not fused:
+            return report("detection", "no-detections")
+        details["fused_targets"] = len(fused)
+        true_center = cabinet.handle_centers[cabinet.item_drawer_index]
+        dists = [float(np.linalg.norm(t.handle_center - true_center)) for t in fused]
+        best = int(np.argmin(dists))
+        details["association_error"] = dists[best]
+        if dists[best] > drawer_cfg.gate_radius:
+            return report("detection", "target-drawer-not-found")
+        estimate = fused[best]
+
+        # navigation: stand on the pull axis, inside bounds, clear of obstacles
+        plan = plan_pull_stance(estimate, scene, config, details)
+    except StageError as exc:
+        return report(STAGE_ERRORS[type(exc)][0], exc.reason)
 
     # manipulation: close-range looks refine the estimate, then tolerance
     # check vs truth; the body is stationary, so the looks share one trace
     # and one visible set, and average out their noise
-    close_eye = np.array([body_xy[0], body_xy[1], nav.camera_height])
+    close_eye = np.array([*plan.body_pose.translation[:2], nav.camera_height])
     close_pose = look_at(close_eye, estimate.handle_center)
     close_trace = trace_depth(synth.primitives, intr, close_pose)
     close_visible = visible_boxes(cabinet, intr, close_pose)
@@ -298,15 +282,13 @@ def run_search_episode(synth: SyntheticScene, seed: int, index: int = 0,
             centers.append(look.handle_center)
             axes.append(look.axis)
             inliers.append(look.plane_inliers)
-    refined = bool(centers)
-    if refined:
+    final = estimate
+    if centers:
         axis = np.mean(axes, axis=0)
         axis = axis / np.linalg.norm(axis)
         final = replace(estimate, handle_center=np.mean(centers, axis=0),
                         axis=axis, plane_inliers=int(np.sum(inliers)))
-    else:
-        final = estimate
-    details["refined"] = refined
+    details["refined"] = bool(centers)
     details["good_looks"] = len(centers)
     handle_error = float(np.linalg.norm(final.handle_center - true_center))
     dot = float(np.clip(final.axis @ cabinet.axis, -1.0, 1.0))

@@ -158,6 +158,10 @@ class TestPlanGrasp:
                    "--grasps", str(workdir / "batch.json"),
                    "--config", str(cfg), "--out", str(tmp_path / "x.json")])
         assert rc == EXIT_LOCALIZATION
+        assert capsys.readouterr().err == (
+            "graspnav: best similarity 0.800 is below the min_similarity"
+            " threshold 0.999\n")
+        assert not (tmp_path / "x.json").exists()
 
     def test_empty_batch_exits_4(self, workdir, tmp_path):
         rc = self._run(workdir, tmp_path / "x.json", batch="batch_empty.json")

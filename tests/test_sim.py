@@ -721,19 +721,22 @@ class TestGraspEpisode:
             assert rep.query == obj.label
 
     def test_duplicate_label_fails_localization(self):
-        spec = SceneSpec(objects=(
-            ObjectSpec(label="crate", shape="box", size=(0.3, 0.2, 0.25),
-                       tier="easy"),
-            ObjectSpec(label="crate", shape="box", size=(0.3, 0.2, 0.25),
-                       tier="easy"),
-        ))
-        synth = generate_scene(spec, seed=0)
-        rep = run_grasp_episode(synth, synth.objects[1], seed=0,
-                                config=RunConfig(noise=NoiseModel.noiseless()))
-        assert not rep.success
-        assert rep.failure_stage() == "localization"
-        assert rep.stages[0].reason == "wrong-instance"
-        assert [s.status for s in rep.stages[1:]] == ["not-reached"] * 3
+        # both crates carry the crate code, so the other one may rank first
+        # with similarity 1.0: the threshold passes, the truth check fails
+        crate = ObjectSpec(label="crate", shape="box", size=(0.3, 0.2, 0.25),
+                           tier="easy")
+        for scene_seed, seed, config in (
+                (0, 0, RunConfig(noise=NoiseModel.noiseless())),
+                (4, 9, RunConfig())):
+            synth = generate_scene(SceneSpec(objects=(crate, crate)),
+                                   seed=scene_seed)
+            rep = run_grasp_episode(synth, synth.objects[1], seed=seed,
+                                    config=config)
+            assert not rep.success
+            assert [(s.name, s.status, s.reason) for s in rep.stages] == [
+                ("localization", "fail", "wrong-instance"),
+                *[(name, "not-reached", None) for name in STAGES[1:]]]
+            assert rep.details == {"similarity": 1.0}
 
     def test_full_dropout_fails_detection(self):
         synth = generate_scene(default_grasp_spec(), seed=4)
